@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baselines, codec
-from .dictionary import Dictionary2D, DictionaryKind, assemble_dictionary
+from .dictionary import (
+    DILATIONS,
+    Dictionary2D,
+    DictionaryKind,
+    assemble_dictionary,
+    sample_prototype,
+)
 from .pursuit import PursuitExhaustedError
 
 EXIT_OK = 0
@@ -29,7 +35,13 @@ METHODS = ("omp_linear", "omp_cubic", "dct", "cdf97")
 
 # Maximum 1D atom support per spline family; the block must be able to hold
 # the widest untruncated atom.
-MAX_SUPPORT = {DictionaryKind.DCT2_LINEAR: 5, DictionaryKind.DCT2_CUBIC: 11}
+MAX_SUPPORT = {
+    kind: sample_prototype(kind.spline_order, max(DILATIONS)).support for kind in DictionaryKind
+}
+
+# Largest block side a container can hold: each block stores its entry count
+# as a u16, and a block can keep up to L * L atoms.
+MAX_BLOCK = 255
 
 # Published reference compression ratios at PSNR 40 dB for the classic
 # 512x512 grayscale test set, per method column. "film" has no public
@@ -82,6 +94,11 @@ class RunConfig:
             raise UsageError(
                 f"block size {self.block_size} is smaller than the widest "
                 f"{self.method} atom support ({MAX_SUPPORT[kind]})"
+            )
+        if kind is not None and self.block_size > MAX_BLOCK:
+            raise UsageError(
+                f"block size {self.block_size} exceeds {MAX_BLOCK}: a container block "
+                "holds at most 65535 entries"
             )
         if self.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {self.workers}")

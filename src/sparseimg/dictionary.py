@@ -12,7 +12,14 @@ variant and 98 in the cubic one, a redundancy of roughly five.
 2D atoms are rank-one tensor products of two 1D atoms and are never stored
 densely: the correlation of every 2D atom with an ``L x L`` block ``R`` is
 obtained separably as ``U^T R U`` where the columns of ``U`` are the 1D
-atoms.
+atoms, inner products between 2D atoms as products of entries of the 1D Gram
+matrix ``G1 = U^T U``, and a sum of 2D atoms as ``U_I diag(c) U_J^T``.
+
+Cutting translates at the block boundary makes some 1D atoms equal: the
+single-sample translates of every dilation are the same unit vector, for
+example. Every atom keeps its address, but each group of equal atoms has one
+canonical member, its smallest index, and pursuit selects only 2D atoms
+whose two factors are both canonical.
 
 Dictionaries are immutable after construction (atom arrays are marked
 read-only) and safe to share across worker threads.
@@ -23,13 +30,18 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 import numpy as np
 
 SUPPORTED_ORDERS = (2, 4)
 DILATIONS = (1, 2, 3)
+
+# Squared distance below which two 1D atoms count as equal. Computed from the
+# Gram matrix, the squared distance of equal atoms is rounding, at most
+# 2.2e-16 for L = 5..255; distinct atoms are at least 2.2e-3 apart.
+TWIN_TOL = 1e-9
 
 COSINE_FAMILY = "cosine"
 SPLINE_FAMILY = "spline"
@@ -207,13 +219,24 @@ class Dictionary1D:
     by increasing support, each by increasing translation.
 
     ``matrix`` stacks the atoms column-wise (``L x n_atoms``) for separable
-    correlation.
+    correlation; ``gram`` is ``matrix^T matrix``. ``canonical[a]`` is the
+    smallest index of an atom equal to atom ``a`` (see ``TWIN_TOL``), so it
+    is ``a`` itself for every atom without a lower twin.
     """
 
     kind: DictionaryKind
     block_len: int
     atoms: tuple[Atom1D, ...]
     matrix: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    canonical: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        gram = self.matrix.T @ self.matrix
+        norms = np.diag(gram)
+        equal = norms[:, None] + norms[None, :] - 2.0 * gram <= TWIN_TOL
+        object.__setattr__(self, "gram", _readonly(gram))
+        object.__setattr__(self, "canonical", _readonly(np.argmax(equal, axis=1)))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -240,14 +263,17 @@ class Dictionary2D:
     The 2D atom at address ``(i, j)`` is the outer product ``u_i v_j^T`` of
     two 1D atoms; it has unit Frobenius norm. Atoms are addressed either by
     the pair ``(i, j)`` or by the row-major flat index ``i * n + j``.
+
+    ``redundant`` lists the flat indices of the atoms equal to an atom with a
+    smaller address, which pursuit never selects: with exact ties between
+    such twins the argmax would be settled by rounding.
     """
 
     def __init__(self, base: Dictionary1D):
         self.base = base
-
-    @property
-    def n_base(self) -> int:
-        return len(self.base)
+        self.n_base = len(base)
+        twin = base.canonical != np.arange(self.n_base)
+        self.redundant = _readonly(np.flatnonzero(twin[:, None] | twin[None, :]))
 
     @property
     def n_atoms(self) -> int:
@@ -293,13 +319,25 @@ class Dictionary2D:
         U = self.base.matrix
         return U.T @ block @ U
 
+    def gram(self, flats: np.ndarray, flat: int) -> np.ndarray:
+        """Inner products of atom ``flat`` with the atoms ``flats``:
+        ``G1[i, I] * G1[j, J]``."""
+        I, J = np.divmod(flats, self.n_base)
+        i, j = divmod(int(flat), self.n_base)
+        G = self.base.gram
+        return G[i].take(I) * G[j].take(J)
+
+    def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Sum of ``coeffs[t]`` times atom ``flats[t]``: ``U_I diag(c) U_J^T``."""
+        I, J = np.divmod(flats, self.n_base)
+        U = self.base.matrix
+        return (U.take(I, axis=1) * coeffs) @ U.take(J, axis=1).T
+
     def reconstruct(self, entries: Iterable[tuple[tuple[int, int], float]]) -> np.ndarray:
         """Sum of ``coeff * u_i v_j^T`` over ``((i, j), coeff)`` entries."""
-        out = np.zeros(self.signal_shape)
-        U = self.base.matrix
-        for (i, j), coeff in entries:
-            out += coeff * np.outer(U[:, i], U[:, j])
-        return out
+        entries = list(entries)
+        flats = np.array([self.flat_index(address) for address, _ in entries], dtype=np.intp)
+        return self.synthesize(flats, np.array([coeff for _, coeff in entries], dtype=np.float64))
 
 
 def correlate_all(dict2d: Dictionary2D, block: np.ndarray) -> np.ndarray:
@@ -310,8 +348,10 @@ def correlate_all(dict2d: Dictionary2D, block: np.ndarray) -> np.ndarray:
 class MatrixDictionary:
     """Plain column dictionary over 1D signals, mainly for small problems.
 
-    Exposes the same correlate/atom/reconstruct surface as
-    :class:`Dictionary2D`, with integer atom addresses.
+    Exposes the same correlate/gram/synthesize/reconstruct surface as
+    :class:`Dictionary2D`, with integer atom addresses. Atoms need not have
+    unit norm, and equal columns are not merged: pursuit masks a repeat when
+    it is selected.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -319,6 +359,7 @@ class MatrixDictionary:
         if matrix.ndim != 2:
             raise ValueError("expected a (dim, n_atoms) matrix of atom columns")
         self.matrix = matrix
+        self.redundant = np.empty(0, dtype=np.intp)
 
     @property
     def n_atoms(self) -> int:
@@ -350,11 +391,18 @@ class MatrixDictionary:
             raise ValueError(f"expected a {self.signal_shape} signal, got {residual.shape}")
         return self.matrix.T @ residual
 
+    def gram(self, flats: np.ndarray, flat: int) -> np.ndarray:
+        """Inner products of atom ``flat`` with the atoms ``flats``: ``M[:, I]^T m``."""
+        return self.matrix.take(flats, axis=1).T @ self.matrix[:, int(flat)]
+
+    def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Sum of ``coeffs[t]`` times atom ``flats[t]``: ``M[:, I] c``."""
+        return self.matrix.take(flats, axis=1) @ coeffs
+
     def reconstruct(self, entries: Iterable[tuple[int, float]]) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for idx, coeff in entries:
-            out += coeff * self.matrix[:, int(idx)]
-        return out
+        entries = list(entries)
+        flats = np.array([self.flat_index(idx) for idx, _ in entries], dtype=np.intp)
+        return self.synthesize(flats, np.array([coeff for _, coeff in entries], dtype=np.float64))
 
 
 DUMP_COLUMNS = ("family", "sub_dict", "label", "support_start", "support_len")

@@ -85,6 +85,13 @@ class TestEncodeCommand:
         assert code == EXIT_USAGE
         assert "support" in capsys.readouterr().err
 
+    def test_block_beyond_container_limit_is_usage_error(self, pgm_path, capsys):
+        code = run(["encode", "--method", "omp_linear", "--block", "256", str(pgm_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "256" in err and "65535" in err
+        assert "Traceback" not in err
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code = run(["encode", "--method", "omp_linear", str(tmp_path / "nope.pgm")])
         assert code == EXIT_IO

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparseimg import (
+    Dictionary2D,
     DictionaryKind,
     assemble_dictionary,
     build_cosine_dict,
@@ -16,7 +17,7 @@ from sparseimg import (
 )
 from sparseimg.dictionary import dump_csv
 
-from _oracles import brute_correlations, bspline_fraction
+from _oracles import brute_correlations, bspline_fraction, flattened_atoms
 
 GOLDEN = Path(__file__).parent / "data" / "dict_linear_L8.csv"
 
@@ -223,6 +224,32 @@ class TestAssembleDictionary:
             dict1_linear16.atoms[0].values[0] = 5.0
 
 
+    def test_gram_is_matrix_gram(self, dict1_cubic16):
+        U = dict1_cubic16.matrix
+        np.testing.assert_array_equal(dict1_cubic16.gram, U.T @ U)
+
+    @pytest.mark.parametrize(
+        "kind, L, twins",
+        [
+            (DictionaryKind.DCT2_LINEAR, 16, {48: 32, 66: 32, 65: 47, 85: 47, 67: 49, 84: 64}),
+            (DictionaryKind.DCT2_CUBIC, 16, {50: 32, 72: 32, 71: 49, 97: 49, 73: 51, 96: 70}),
+            (DictionaryKind.DCT2_LINEAR, 8, {24: 16, 34: 16, 33: 23, 45: 23, 35: 25, 44: 32}),
+        ],
+    )
+    def test_canonical_map_names_boundary_twins(self, kind, L, twins):
+        # boundary-cut translates of different dilations coincide; each group
+        # maps to its smallest index, and canonical atoms are pairwise distinct
+        d = assemble_dictionary(kind, L)
+        expected = np.arange(len(d))
+        expected[list(twins)] = list(twins.values())
+        np.testing.assert_array_equal(d.canonical, expected)
+        for a, b in twins.items():
+            np.testing.assert_allclose(d.matrix[:, a], d.matrix[:, b], atol=1e-13)
+        U = d.matrix[:, np.unique(d.canonical)]
+        gaps = np.abs(U[:, :, None] - U[:, None, :]).max(axis=0)
+        assert np.min(gaps + np.eye(U.shape[1])) > 0.04
+
+
 class TestDictionary2D:
     def test_flat_addressing_roundtrip(self, dict2_linear16):
         n = dict2_linear16.n_base
@@ -255,6 +282,27 @@ class TestDictionary2D:
     def test_dimension_mismatch(self, dict2_linear16):
         with pytest.raises(ValueError, match="block"):
             correlate_all(dict2_linear16, np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("L, n_distinct", [(16, 80), (8, 40)])
+    def test_redundant_addresses_have_a_twin_factor(self, L, n_distinct):
+        d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
+        assert len(d.redundant) == d.n_atoms - n_distinct**2
+        canonical = d.base.canonical
+        for flat in d.redundant:
+            i, j = d.address_of(flat)
+            assert canonical[i] != i or canonical[j] != j
+
+    def test_gram_and_synthesize_match_dense_atoms(self, dict2_cubic16):
+        dense = flattened_atoms(dict2_cubic16)
+        rng = np.random.default_rng(19)
+        flats = rng.choice(dict2_cubic16.n_atoms, size=12, replace=False)
+        coeffs = rng.normal(size=12)
+        np.testing.assert_allclose(
+            dict2_cubic16.gram(flats, flats[3]), dense[flats] @ dense[flats[3]], atol=1e-14
+        )
+        np.testing.assert_allclose(
+            dict2_cubic16.synthesize(flats, coeffs).ravel(), coeffs @ dense[flats], atol=1e-13
+        )
 
     def test_reconstruct_matches_outer_products(self, dict2_linear16):
         U = dict2_linear16.base.matrix

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparseimg import (
+    Dictionary2D,
+    DictionaryKind,
     MatrixDictionary,
     PursuitExhaustedError,
     PursuitState,
     StoppingRule,
+    assemble_dictionary,
     orthogonalize_and_update,
     run_omp,
     select_atom,
@@ -58,6 +63,27 @@ class TestSelectAtom:
         state = PursuitState(np.zeros((16, 16)), capacity=4)
         assert select_atom(state, dict2_linear16) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "kind, twin, expected",
+        [
+            (DictionaryKind.DCT2_LINEAR, (67, 21), (49, 21)),
+            (DictionaryKind.DCT2_LINEAR, (48, 67), (32, 49)),
+            (DictionaryKind.DCT2_LINEAR, (5, 84), (5, 64)),
+            (DictionaryKind.DCT2_CUBIC, (73, 96), (51, 70)),
+        ],
+    )
+    def test_twin_atom_ties_break_to_smallest_address(self, kind, twin, expected):
+        # the planted atom equals the expected one up to rounding (u_67 and
+        # u_49 differ in the last bit), so the correlations tie and the
+        # smaller address must win
+        d = Dictionary2D(assemble_dictionary(kind, 16))
+        U = d.base.matrix
+        f = 3.0 * np.outer(U[:, twin[0]], U[:, twin[1]])
+        assert select_atom(PursuitState(f, capacity=1), d) == expected
+        block, _ = run_omp(f, d, StoppingRule("target_sse", 1e-20))
+        assert [address for address, _ in block.entries] == [expected]
+        assert block.entries[0][1] == pytest.approx(3.0, abs=1e-12)
+
     def test_masked_atoms_are_skipped(self):
         md = toy_dictionary()
         state = PursuitState(np.array([1.0, 0.5]), capacity=2)
@@ -94,6 +120,70 @@ class TestOrthogonalizeAndUpdate:
         assert state.k == 1
         assert state.selected == [0]
         np.testing.assert_array_equal(state.residual, residual_before)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    def test_exact_duplicate_of_any_norm_is_masked(self, scale):
+        # an oblique duplicate leaves a rounding-level remainder, not an exact
+        # zero; it must be masked rather than accepted with a huge coefficient
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(2, 6))
+        md = MatrixDictionary(np.column_stack([scale * a, scale * b, -2.5 * scale * a]))
+        f = rng.normal(size=6)
+        state = PursuitState(f, capacity=3)
+        orthogonalize_and_update(state, md, 0)
+        orthogonalize_and_update(state, md, 1)
+        before = state.coefficients
+        orthogonalize_and_update(state, md, 2)
+        assert state.masked == {2}
+        assert state.selected == [0, 1]
+        np.testing.assert_array_equal(state.coefficients, before)
+
+    def test_twin_2d_atom_is_masked(self, dict2_linear16):
+        rng = np.random.default_rng(12)
+        state = PursuitState(rng.normal(size=(16, 16)), capacity=4)
+        orthogonalize_and_update(state, dict2_linear16, (32, 7))
+        orthogonalize_and_update(state, dict2_linear16, (48, 7))  # u_48 == u_32
+        assert state.k == 1
+        assert state.masked == {dict2_linear16.flat_index((48, 7))}
+
+    def test_small_norm_independent_atom_is_accepted(self):
+        md = MatrixDictionary(np.array([[1e-6, 0.0], [0.0, 1e-6]]))
+        state = PursuitState(np.array([2.0, 3.0]), capacity=2)
+        orthogonalize_and_update(state, md, 0)
+        orthogonalize_and_update(state, md, 1)
+        assert state.k == 2
+        np.testing.assert_allclose(state.coefficients, [2e6, 3e6], rtol=1e-12)
+
+    def test_near_dependent_cubic_atoms_match_normal_equations(self, dict2_cubic16):
+        # 1D cubic atoms with Gram above 0.99 give 2D atom sets whose Gram
+        # matrix has condition numbers up to ~3e6, the square of the atoms'
+        # own; the Cholesky factor works on that Gram matrix
+        d = dict2_cubic16
+        G, canonical = d.base.gram, d.base.canonical
+        n = d.n_base
+        pairs = [
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if G[a, b] > 0.99 and canonical[a] == a and canonical[b] == b
+        ]
+        assert len(pairs) == 14
+        U = d.base.matrix
+        rng = np.random.default_rng(5)
+        for a, b in pairs:
+            quad = [(a, a), (a, b), (b, a), (b, b)]
+            c = rng.normal(size=4)
+            f = sum(ci * np.outer(U[:, p], U[:, q]) for ci, (p, q) in zip(c, quad))
+            f = f + 0.05 * rng.normal(size=(16, 16))
+            state = PursuitState(f, capacity=12)
+            for address in quad:
+                orthogonalize_and_update(state, d, address)
+            while state.k < 12:
+                orthogonalize_and_update(state, d, select_atom(state, d))
+            assert not state.masked
+            np.testing.assert_allclose(
+                state.coefficients, least_squares_coeffs(d, state.selected, f), atol=1e-8
+            )
 
     def test_reselecting_accepted_atom_is_an_error(self):
         md = toy_dictionary()
@@ -257,6 +347,28 @@ class TestRunOmp:
             np.testing.assert_allclose(
                 coeffs, least_squares_coeffs(md, addresses, f), atol=1e-8
             )
+
+    def test_memory_grows_with_atoms_used_not_block_size(self):
+        # a 64x64 block has dimension 4096: storage sized to that cap would
+        # take 3 * 4096**2 doubles (400 MB); three atoms need a few MB
+        d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 64))
+        U = d.base.matrix
+        f = 40.0 * np.outer(U[:, 0], U[:, 0]) + 3.0 * np.outer(U[:, 5], U[:, 200])
+        f += 0.5 * np.outer(U[:, 150], U[:, 9])
+        rule = StoppingRule("both", sse_threshold=1e-12, atom_cap=64 * 64)
+        tracemalloc.start()
+        try:
+            PursuitState(f, capacity=64 * 64)
+            state_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            block, _ = run_omp(f, d, rule)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block) == 3
+        assert state_peak < 2**20
+        # a few n x n correlation arrays (n = 326 base atoms, 0.8 MB each)
+        assert run_peak < 8 * 2**20
 
     def test_reorthogonalization_keeps_gram_tight_at_full_depth(self, dict2_linear16):
         rng = np.random.default_rng(41)
