@@ -79,7 +79,6 @@ class RunConfig:
     levels: int = 5
     out_dir: Path | None = None
     report: Path | None = None
-    workers: int = 1
     trace: bool = False
 
     def validate(self) -> None:
@@ -100,8 +99,6 @@ class RunConfig:
                 f"block size {self.block_size} exceeds {MAX_BLOCK}: a container block "
                 "holds at most 65535 entries"
             )
-        if self.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {self.workers}")
         if self.levels < 1:
             raise UsageError(f"--levels must be >= 1, got {self.levels}")
 
@@ -116,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--block", type=int, default=16, help="block side (default 16)")
     enc.add_argument("--psnr", type=float, default=40.0, help="PSNR target in dB (default 40)")
     enc.add_argument("--levels", type=int, default=5, help="wavelet decomposition levels")
-    enc.add_argument("--workers", type=int, default=1, help="encoder thread count")
     enc.add_argument("--trace", action="store_true", help="write per-iteration pursuit traces")
     enc.add_argument("--out", help="output directory for .sic files (default: input's)")
     enc.add_argument("--report", help="sparsity report CSV to append to")
@@ -145,7 +141,6 @@ def _encode_one_omp(path: Path, config: RunConfig, dict2d: Dictionary2D):
         dict2d,
         config.target_psnr,
         image_name=path.stem,
-        workers=config.workers,
         trace=trace_rows,
     )
     out_dir = config.out_dir if config.out_dir is not None else path.parent
@@ -324,7 +319,6 @@ def main(argv=None) -> int:
                 levels=args.levels,
                 out_dir=Path(args.out) if args.out else None,
                 report=Path(args.report) if args.report else None,
-                workers=args.workers,
                 trace=args.trace,
             )
             return cmd_encode(config)

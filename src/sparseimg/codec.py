@@ -4,8 +4,8 @@ The image is split into ``L x L`` blocks (dimensions must divide evenly) and
 every block is approximated independently until its residual sum of squares
 falls below a uniform per-block threshold derived from the PSNR target; if
 every block meets the threshold, the whole image meets the target. Blocks
-are independent, so they can be encoded by a thread pool without changing
-the result.
+are independent: the pursuit advances groups of them together, and each
+block's expansion is the one it would get alone.
 
 Container format (".sic", little-endian)::
 
@@ -31,14 +31,13 @@ import io
 import math
 import struct
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dictionary import Dictionary2D, DictionaryKind
-from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, run_omp
+from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, pursue
 
 MAGIC = b"SIC1"
 VERSION = 1
@@ -245,15 +244,14 @@ def encode(
     target_db: float,
     *,
     image_name: str = "",
-    workers: int = 1,
     trace: list | None = None,
 ) -> tuple[EncodedImage, SparsityReport]:
     """Approximate every block of ``img`` to the per-block SSE threshold.
 
-    Returns the encoded image and its sparsity report. With ``workers > 1``
-    blocks are encoded by a thread pool; results are identical to the
-    sequential run because blocks do not interact. ``trace`` collects
-    ``(block_index, k, i, j, abs_corr, sse)`` rows across blocks.
+    Returns the encoded image and its sparsity report. Each block gets the
+    expansion :func:`~sparseimg.pursuit.run_omp` gives it alone. ``trace``
+    collects ``(block_index, k, i, j, abs_corr, sse)`` rows, ordered by block
+    and then by ``k``.
     """
     L = dict2d.base.block_len
     if img.width % L or img.height % L:
@@ -262,24 +260,14 @@ def encode(
         )
     threshold = psnr_to_block_sse(target_db, L)
     rule = StoppingRule(mode="both", sse_threshold=threshold, atom_cap=L * L)
-    data = img.as_float()
-    grid = list(_iter_blocks(data.shape, L))
-
-    def encode_block(pos):
-        by, bx = pos
-        block = data[by * L : (by + 1) * L, bx * L : (bx + 1) * L]
-        rows: list | None = [] if trace is not None else None
-        try:
-            sparse, residual_norm = run_omp(block, dict2d, rule, trace=rows)
-        except PursuitExhaustedError as exc:
-            raise PursuitExhaustedError(f"block ({by}, {bx}): {exc}") from exc
-        return sparse, residual_norm, rows
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(encode_block, grid))
-    else:
-        results = [encode_block(pos) for pos in grid]
+    rows_of_blocks, per_row = img.height // L, img.width // L
+    blocks = img.as_float().reshape(rows_of_blocks, L, per_row, L).swapaxes(1, 2).reshape(-1, L, L)
+    steps: list | None = [] if trace is not None else None
+    try:
+        results = pursue(blocks, dict2d, rule, trace=steps)
+    except PursuitExhaustedError as exc:
+        by, bx = divmod(exc.index, per_row)
+        raise PursuitExhaustedError(f"block ({by}, {bx}): {exc}", index=exc.index) from exc
 
     enc = EncodedImage(
         width=img.width,
@@ -288,24 +276,22 @@ def encode(
         kind=dict2d.base.kind,
         n_base=dict2d.n_base,
         target_psnr=float(target_db),
-        blocks=[sparse for sparse, _, _ in results],
+        blocks=[sparse for sparse, _ in results],
     )
     if trace is not None:
-        for index, (_, _, rows) in enumerate(results):
-            for k, (i, j), corr, sse in rows:
-                trace.append((index, k, i, j, corr, sse))
+        trace.extend((index, k, i, j, corr, sse) for index, k, (i, j), corr, sse in steps)
 
-    total_sse = sum(norm**2 for _, norm, _ in results)
+    total_sse = sum(norm**2 for _, norm in results)
     mse = total_sse / (img.width * img.height)
     achieved = math.inf if mse == 0.0 else 10.0 * math.log10(PEAK**2 / mse)
     report = SparsityReport(
         image=image_name,
         dictionary=dict2d.base.kind.value,
-        total_atoms=sum(len(sparse) for sparse, _, _ in results),
+        total_atoms=sum(len(sparse) for sparse, _ in results),
         pixel_count=img.width * img.height,
         target_psnr=float(target_db),
         achieved_psnr=achieved,
-        block_histogram=dict(Counter(len(sparse) for sparse, _, _ in results)),
+        block_histogram=dict(Counter(len(sparse) for sparse, _ in results)),
     )
     return enc, report
 

@@ -22,7 +22,7 @@ canonical member, its smallest index, and pursuit selects only 2D atoms
 whose two factors are both canonical.
 
 Dictionaries are immutable after construction (atom arrays are marked
-read-only) and safe to share across worker threads.
+read-only).
 """
 
 from __future__ import annotations
@@ -264,16 +264,29 @@ class Dictionary2D:
     two 1D atoms; it has unit Frobenius norm. Atoms are addressed either by
     the pair ``(i, j)`` or by the row-major flat index ``i * n + j``.
 
-    ``redundant`` lists the flat indices of the atoms equal to an atom with a
-    smaller address, which pursuit never selects: with exact ties between
-    such twins the argmax would be settled by rounding.
+    ``candidates`` lists, in increasing order, the flat indices that pursuit
+    searches: the atoms whose two factors are both canonical. ``redundant``
+    is the complement, the atoms equal to an atom with a smaller address,
+    which pursuit never selects: with exact ties between such twins the
+    argmax would be settled by rounding.
+
+    The pursuit methods (``correlate``, ``analyze``, ``gram``,
+    ``synthesize``) work on stacks of signals or atom lists, one per
+    leading index, and compute each entry of the stack the same way whatever
+    the stack holds.
     """
 
     def __init__(self, base: Dictionary1D):
         self.base = base
-        self.n_base = len(base)
-        twin = base.canonical != np.arange(self.n_base)
+        self.n_base = n = len(base)
+        twin = base.canonical != np.arange(n)
+        canonical = np.flatnonzero(~twin)
+        self.candidates = _readonly((canonical[:, None] * n + canonical[None, :]).ravel())
         self.redundant = _readonly(np.flatnonzero(twin[:, None] | twin[None, :]))
+        # 1D atoms as rows, for gathers; the canonical ones as columns and rows.
+        self._rows = _readonly(np.ascontiguousarray(base.matrix.T))
+        self._search = _readonly(np.ascontiguousarray(base.matrix[:, canonical]))
+        self._search_t = _readonly(np.ascontiguousarray(self._search.T))
 
     @property
     def n_atoms(self) -> int:
@@ -307,31 +320,37 @@ class Dictionary2D:
         i, j = self.address_of(flat)
         return self.atom_matrix(i, j).ravel()
 
-    def correlate(self, block: np.ndarray) -> np.ndarray:
-        """Inner products of every 2D atom with ``block``, as an ``n x n`` array.
+    def correlate(self, signals: np.ndarray) -> np.ndarray:
+        """Inner products of the candidate atoms with each block of a
+        ``(B, L, L)`` stack, as a ``(B, len(candidates))`` array:
+        ``U_C^T R U_C`` over the canonical 1D atoms ``C``, row-major."""
+        signals = np.asarray(signals, dtype=np.float64)
+        if signals.shape[1:] != self.signal_shape:
+            raise ValueError(f"expected a stack of {self.signal_shape} blocks, got {signals.shape}")
+        corr = np.matmul(self._search_t, np.matmul(signals, self._search))
+        return corr.reshape(len(signals), -1)
 
-        Entry ``(i, j)`` equals ``u_i^T block v_j``; the row-major flattening
-        of the result matches :meth:`flat_index`.
-        """
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != self.signal_shape:
-            raise ValueError(f"expected a {self.signal_shape} block, got {block.shape}")
+    def analyze(self, signals: np.ndarray) -> np.ndarray:
+        """Inner products of every atom with each block of a ``(B, L, L)``
+        stack, as a ``(B, n_atoms)`` array indexed by flat address:
+        ``U^T R U``."""
         U = self.base.matrix
-        return U.T @ block @ U
+        return np.matmul(np.matmul(U.T, signals), U).reshape(len(signals), -1)
 
-    def gram(self, flats: np.ndarray, flat: int) -> np.ndarray:
-        """Inner products of atom ``flat`` with the atoms ``flats``:
-        ``G1[i, I] * G1[j, J]``."""
+    def gram(self, flats: np.ndarray, flat) -> np.ndarray:
+        """Inner products of atom ``flat`` with the atoms ``flats`` (along the
+        last axis, one ``flat`` per leading index): ``G1[i, I] * G1[j, J]``."""
         I, J = np.divmod(flats, self.n_base)
-        i, j = divmod(int(flat), self.n_base)
+        i, j = np.divmod(np.asarray(flat)[..., None], self.n_base)
         G = self.base.gram
-        return G[i].take(I) * G[j].take(J)
+        return G[i, I] * G[j, J]
 
     def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Sum of ``coeffs[t]`` times atom ``flats[t]``: ``U_I diag(c) U_J^T``."""
+        """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``, one block per
+        leading index: ``U_I diag(c) U_J^T``."""
         I, J = np.divmod(flats, self.n_base)
-        U = self.base.matrix
-        return (U.take(I, axis=1) * coeffs) @ U.take(J, axis=1).T
+        left = self._rows.take(I, axis=0) * coeffs[..., None]
+        return np.matmul(left.swapaxes(-1, -2), self._rows.take(J, axis=0))
 
     def reconstruct(self, entries: Iterable[tuple[tuple[int, int], float]]) -> np.ndarray:
         """Sum of ``coeff * u_i v_j^T`` over ``((i, j), coeff)`` entries."""
@@ -341,17 +360,22 @@ class Dictionary2D:
 
 
 def correlate_all(dict2d: Dictionary2D, block: np.ndarray) -> np.ndarray:
-    """Separable correlation of ``block`` against every 2D atom."""
-    return dict2d.correlate(block)
+    """Separable correlation of ``block`` against every 2D atom, as an
+    ``n x n`` array: entry ``(i, j)`` is ``u_i^T block u_j``, and the
+    row-major flattening matches :meth:`Dictionary2D.flat_index`."""
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != dict2d.signal_shape:
+        raise ValueError(f"expected a {dict2d.signal_shape} block, got {block.shape}")
+    return dict2d.analyze(block[None]).reshape(dict2d.n_base, dict2d.n_base)
 
 
 class MatrixDictionary:
     """Plain column dictionary over 1D signals, mainly for small problems.
 
-    Exposes the same correlate/gram/synthesize/reconstruct surface as
-    :class:`Dictionary2D`, with integer atom addresses. Atoms need not have
-    unit norm, and equal columns are not merged: pursuit masks a repeat when
-    it is selected.
+    Exposes the same pursuit surface as :class:`Dictionary2D`, with integer
+    atom addresses. Every atom is a candidate: atoms need not have unit norm,
+    and equal columns are not merged, so pursuit masks a repeat when it is
+    selected.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -359,6 +383,8 @@ class MatrixDictionary:
         if matrix.ndim != 2:
             raise ValueError("expected a (dim, n_atoms) matrix of atom columns")
         self.matrix = matrix
+        self._rows = np.ascontiguousarray(matrix.T)
+        self.candidates = _readonly(np.arange(matrix.shape[1]))
         self.redundant = np.empty(0, dtype=np.intp)
 
     @property
@@ -385,19 +411,24 @@ class MatrixDictionary:
     def atom_flat(self, flat: int) -> np.ndarray:
         return self.matrix[:, int(flat)].copy()
 
-    def correlate(self, residual: np.ndarray) -> np.ndarray:
-        residual = np.asarray(residual, dtype=np.float64)
-        if residual.shape != self.signal_shape:
-            raise ValueError(f"expected a {self.signal_shape} signal, got {residual.shape}")
-        return self.matrix.T @ residual
+    def correlate(self, signals: np.ndarray) -> np.ndarray:
+        """``M^T r`` for each signal of a ``(B, dim)`` stack: every atom is a candidate."""
+        signals = np.asarray(signals, dtype=np.float64)
+        if signals.shape[1:] != self.signal_shape:
+            raise ValueError(f"expected a stack of {self.signal_shape} signals, got {signals.shape}")
+        return self.analyze(signals)
 
-    def gram(self, flats: np.ndarray, flat: int) -> np.ndarray:
+    def analyze(self, signals: np.ndarray) -> np.ndarray:
+        """``M^T r`` for each signal of a ``(B, dim)`` stack."""
+        return np.matmul(signals[:, None, :], self.matrix)[:, 0, :]
+
+    def gram(self, flats: np.ndarray, flat) -> np.ndarray:
         """Inner products of atom ``flat`` with the atoms ``flats``: ``M[:, I]^T m``."""
-        return self.matrix.take(flats, axis=1).T @ self.matrix[:, int(flat)]
+        return np.matmul(self._rows[flats], self._rows[flat][..., None])[..., 0]
 
     def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Sum of ``coeffs[t]`` times atom ``flats[t]``: ``M[:, I] c``."""
-        return self.matrix.take(flats, axis=1) @ coeffs
+        """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``: ``M[:, I] c``."""
+        return np.matmul(coeffs[..., None, :], self._rows[flats])[..., 0, :]
 
     def reconstruct(self, entries: Iterable[tuple[int, float]]) -> np.ndarray:
         entries = list(entries)

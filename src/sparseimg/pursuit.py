@@ -15,11 +15,25 @@ The coefficients are ``c = L^-T z`` and the residual ``f - A c`` comes from
 the dictionary's synthesis, so the state grows with the number of accepted
 atoms and the dictionary supplies only correlations, Gram rows and sums of
 atoms.
+
+One core pursues a group of signals together. Its state is row-stacked,
+one row per signal, and each iteration advances every unfinished row by
+one atom. A row's result never depends on the group it is pursued in:
+every reduction runs over dimensions fixed by the dictionary or by the
+row's own capacity, which steps through ``8, 16, 32, ...`` as its atom count
+grows (BLAS dot products change with zero padding, so a shared padded
+width would not do). Rows of equal capacity form a tier, and an iteration
+makes one numpy call of each kind per tier: correlate, masked argmax, Gram
+row, factor update, synthesis. Blocks started together stay in one tier
+until masking sets some apart. Rows that finish are retired and the
+arrays compacted lazily; a row that fills its tier moves to the next one.
+:func:`run_omp` and the stepwise API (:class:`PursuitState`,
+:func:`select_atom`, :func:`orthogonalize_and_update`) are the same core
+on a group of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +47,34 @@ import numpy as np
 # routine, so dependence is not an error.
 DEP_TOL = 1e-14
 
+# Selection takes the smallest candidate address whose |correlation| lies
+# within TIE_TOL of the maximum, relative to it. Distinct atoms whose
+# correlations are equal in exact arithmetic (adjacent spline translates
+# over a constant region, say) differ after rounding by a few ulps, about
+# 1e-15 relative. 1e-12 absorbs that; correlations that close count as a
+# tie even when they are not equal in exact arithmetic.
+TIE_TOL = 1e-12
+
+# Correlation entries a group of signals may hold at once. A group has
+# GROUP_ENTRIES // len(dictionary.candidates) signals: 81 blocks at L = 8
+# (1,600 candidates), 20 at L = 16 linear (6,400), 15 at L = 16 cubic. Each
+# correlation stack of a group takes at most 1 MB.
+GROUP_ENTRIES = 1 << 17
+
 STOP_MODES = ("target_sse", "max_atoms", "both")
+
+FIRST_CAPACITY = 8  # atoms a row holds before its first growth
 
 
 class PursuitExhaustedError(RuntimeError):
-    """Every dictionary atom is masked but the stopping rule is not satisfied."""
+    """Every dictionary atom is masked but the stopping rule is not satisfied.
+
+    ``index`` is the position of the signal in the group that exhausted.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -79,8 +116,182 @@ class SparseBlock:
         return len(self.entries)
 
 
+def _next_capacity(capacity: int, cap: int) -> int:
+    """The capacity a row moves to when it fills ``capacity`` (the first when 0)."""
+    return max(1, min(max(FIRST_CAPACITY, 2 * capacity), cap))
+
+
+def _row_sse(residual: np.ndarray) -> np.ndarray:
+    """``<r, r>`` of each row, one dot product per row."""
+    return np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0]
+
+
+class _Rows:
+    """Row-stacked state of the signals of one capacity tier.
+
+    Row ``r`` holds ``k[r]`` accepted atoms out of ``capacity``: their flat
+    indices and candidate positions (-1 when not a candidate), the factor
+    ``[L^-1 | z | w]`` (``w`` is scratch for the next acceptance), the
+    coefficients, the residual and its SSE, and ``A^T f`` over every atom
+    once the row has accepted one. ``masked`` holds the candidate
+    positions each row masked as dependent, padded with -1; ``live`` is false
+    for retired rows, which are dropped at the next compaction, and
+    ``n_live`` counts the others.
+    """
+
+    def __init__(self, ids: np.ndarray, target: np.ndarray, capacity: int):
+        rows, K = len(ids), capacity
+        self.ids = ids
+        self.target = target
+        self.capacity = K
+        self.k = np.zeros(rows, dtype=np.intp)
+        self.flats = np.zeros((rows, K), dtype=np.intp)
+        self.positions = np.full((rows, K), -1, dtype=np.intp)
+        self.factor = np.zeros((rows, K, K + 2))
+        self.coeffs = np.zeros((rows, K))
+        self.residual = target.copy()
+        self.sse = _row_sse(self.residual)
+        self.masked = np.full((rows, 0), -1, dtype=np.intp)
+        self.target_corr = None
+        self._index()
+
+    def _index(self) -> None:
+        """Row indices and liveness of a freshly assembled tier."""
+        self.row = np.arange(len(self.ids))
+        self.column = self.row[:, None]
+        self.row_start = self.row * self.capacity
+        self.live = np.ones(len(self.ids), dtype=bool)
+        self.n_live = len(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray, capacity: int | None = None) -> "_Rows":
+        """The live rows ``rows``, moved to ``capacity`` (default: this one)."""
+        K = self.capacity
+        K2 = K if capacity is None else capacity
+        out = object.__new__(_Rows)
+        out.ids = self.ids[rows]
+        out.target = self.target[rows]
+        out.capacity = K2
+        out.k = self.k[rows]
+        out.residual = self.residual[rows]
+        out.sse = self.sse[rows]
+        out.masked = self.masked[rows]
+        out.target_corr = None if self.target_corr is None else self.target_corr[rows]
+        if K2 == K:
+            out.flats = self.flats[rows]
+            out.positions = self.positions[rows]
+            out.factor = self.factor[rows]
+            out.coeffs = self.coeffs[rows]
+        else:
+            n = len(out.ids)
+            out.flats = np.zeros((n, K2), dtype=np.intp)
+            out.flats[:, :K] = self.flats[rows]
+            out.positions = np.full((n, K2), -1, dtype=np.intp)
+            out.positions[:, :K] = self.positions[rows]
+            out.factor = np.zeros((n, K2, K2 + 2))
+            out.factor[:, :K, :K] = self.factor[rows, :, :K]
+            out.factor[:, :K, K2] = self.factor[rows, :, K]
+            out.coeffs = np.zeros((n, K2))
+            out.coeffs[:, :K] = self.coeffs[rows]
+        out._index()
+        return out
+
+    def merge(self, other: "_Rows") -> "_Rows":
+        """This tier's rows followed by ``other``'s, of the same capacity."""
+        width = max(self.masked.shape[1], other.masked.shape[1])
+        out = object.__new__(_Rows)
+        for name in ("ids", "target", "k", "residual", "sse", "flats", "positions", "factor", "coeffs"):
+            setattr(out, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+        out.masked = np.concatenate([_widen(self.masked, width), _widen(other.masked, width)])
+        out.target_corr = np.concatenate([self.target_corr, other.target_corr])
+        out.capacity = self.capacity
+        out._index()
+        return out
+
+    def mask(self, rows: np.ndarray, positions: np.ndarray) -> None:
+        """Record candidate ``positions[r]`` as masked for each row in ``rows``."""
+        held = (self.masked >= 0).sum(axis=1)
+        width = int(held[rows].max()) + 1
+        if width > self.masked.shape[1]:
+            self.masked = _widen(self.masked, max(width, 2 * self.masked.shape[1]))
+        self.masked[rows, held[rows]] = positions[rows]
+
+
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    out = np.full((len(a), width), -1, dtype=np.intp)
+    out[:, : a.shape[1]] = a
+    return out
+
+
+def _select(rows: _Rows, dictionary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's pick: candidate position, largest ``|corr|`` and the
+    magnitudes. Selected and masked atoms are excluded; among the candidates
+    within ``TIE_TOL`` of the maximum the smallest address wins. A maximum of
+    -1 means every candidate is excluded."""
+    n = len(rows)
+    corr = dictionary.correlate(rows.residual.reshape((n,) + dictionary.signal_shape))
+    mag = np.empty((n, corr.shape[1] + 1))
+    np.abs(corr, out=mag[:, :-1])
+    mag[:, -1] = -1.0  # excluded position -1 lands here
+    mag[rows.column, rows.positions] = -1.0
+    if rows.masked.shape[1]:
+        mag[rows.column, rows.masked] = -1.0
+    top = np.maximum.reduce(mag, axis=1)
+    pos = (mag >= (top * (1.0 - TIE_TOL))[:, None]).argmax(axis=1)
+    return pos, top, mag
+
+
+def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.ndarray) -> tuple[np.ndarray, int]:
+    """Add atom ``flat[r]`` to the factorization of each row with ``go[r]``,
+    unless it depends on the row's span; returns which rows accepted and how
+    many, and leaves ``k`` unchanged in the others.
+
+    Every row is computed; rows that do not accept get zero updates, which
+    leave their state as it was."""
+    K = rows.capacity
+    r, k = rows.row, rows.k
+    at = rows.row_start + k  # flat index of each row's slot k in a (rows, K) array
+    rows.flats.put(at, flat)
+    rows.positions.put(at, pos)  # excluded from now on, as selected or as masked
+    g = dictionary.gram(rows.flats, flat)
+    norm2 = g.take(at)
+    factor = rows.factor
+    w = np.matmul(factor[:, :, :K], g[:, :, None])
+    factor[:, :, K + 1] = w[:, :, 0]
+    # one product gives w^T L^-1, <w, z> and <w, w>
+    y = np.matmul(w.transpose(0, 2, 1), factor)[:, 0]
+    d2 = norm2 - y[:, K + 1]
+    accepted = go & (d2 > DEP_TOL * norm2)
+    inv_d = accepted / np.sqrt(np.where(accepted, d2, 1.0))
+    # the new factor row: [-w^T L^-1 / d, 1 / d] and z_k in column K
+    new_row = y * -inv_d[:, None]
+    new_row[r, k] = inv_d
+    if rows.target_corr is None:
+        rows.target_corr = dictionary.analyze(rows.target.reshape((len(rows),) + dictionary.signal_shape))
+    new_row[:, K] = (rows.target_corr[r, flat] - y[:, K]) * inv_d
+    factor.reshape(-1, K + 2)[at] = new_row
+    # c = L^-T z: the new row of L^-1 adds z times that row.
+    rows.coeffs += new_row[:, K, None] * new_row[:, :K]
+    rows.k += accepted
+    count = np.count_nonzero(accepted)
+    if count:
+        synthesis = dictionary.synthesize(rows.flats, rows.coeffs)
+        np.subtract(rows.target, synthesis.reshape(len(rows), -1), out=rows.residual)
+        rows.sse = _row_sse(rows.residual)
+    return accepted, count
+
+
+def _position(dictionary, flat: int) -> int:
+    """Position of ``flat`` among the dictionary's candidates, or -1."""
+    candidates = dictionary.candidates
+    pos = int(np.searchsorted(candidates, flat))
+    return pos if pos < len(candidates) and candidates[pos] == flat else -1
+
+
 class PursuitState:
-    """Mutable state of one pursuit run.
+    """Mutable state of one pursuit run: a group of one row.
 
     Attributes
     ----------
@@ -102,18 +313,15 @@ class PursuitState:
         self.shape = signal.shape
         self.target = signal.ravel().copy()
         self.capacity = min(int(capacity), self.target.size)
-        self.k = 0
         self.selected: list = []
         self.masked: set[int] = set()
-        self._residual = self.target.copy()
         self._dictionary = None  # the dictionary of the accepted atoms
-        self._target_corr: np.ndarray | None = None  # A^T f over every atom, flat
-        # Selected flat indices, L^-1, z and c, grown by doubling.
-        held = min(8, self.capacity)
-        self._flat = np.zeros(held, dtype=np.intp)
-        self._linv = np.zeros((held, held))
-        self._z = np.zeros(held)
-        self._coeffs = np.zeros(held)
+        self._rows = _Rows(np.zeros(1, dtype=np.intp), self.target[None].copy(),
+                           _next_capacity(0, self.capacity))
+
+    @property
+    def k(self) -> int:
+        return int(self._rows.k[0])
 
     @property
     def dim(self) -> int:
@@ -121,15 +329,15 @@ class PursuitState:
 
     @property
     def residual(self) -> np.ndarray:
-        return self._residual.reshape(self.shape)
+        return self._rows.residual[0].reshape(self.shape)
 
     @property
     def residual_sse(self) -> float:
-        return float(self._residual @ self._residual)
+        return float(self._rows.sse[0])
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self._coeffs[: self.k].copy()
+        return self._rows.coeffs[0, : self.k].copy()
 
     @property
     def orthonormal_basis(self) -> np.ndarray:
@@ -137,101 +345,33 @@ class PursuitState:
         k = self.k
         if k == 0:
             return np.zeros((self.dim, 0))
-        atoms = np.column_stack([self._dictionary.atom_flat(f) for f in self._flat[:k]])
-        return atoms @ self._linv[:k, :k].T
+        atoms = np.column_stack([self._dictionary.atom_flat(f) for f in self._rows.flats[0, :k]])
+        return atoms @ self._rows.factor[0, :k, :k].T
 
     @property
     def dual_basis(self) -> np.ndarray:
         """Biorthogonal duals ``A L^-T L^-1``: ``c = B^T f``, built on request."""
-        return self.orthonormal_basis @ self._linv[: self.k, : self.k]
-
-    def _reserve(self, size: int) -> None:
-        """Room for ``size`` accepted atoms."""
-        held = len(self._z)
-        if size <= held:
-            return
-        grown = min(max(size, 2 * held), self.capacity)
-        linv = np.zeros((grown, grown))
-        linv[:held, :held] = self._linv
-        self._linv = linv
-        self._flat = np.concatenate([self._flat, np.zeros(grown - held, dtype=np.intp)])
-        self._z = np.concatenate([self._z, np.zeros(grown - held)])
-        self._coeffs = np.concatenate([self._coeffs, np.zeros(grown - held)])
-
-
-def _correlate(state: PursuitState, dictionary) -> np.ndarray:
-    """Correlations of every atom with the residual. Before the first
-    acceptance the residual is the signal, so they are kept as ``A^T f``."""
-    corr = dictionary.correlate(state.residual)
-    if state.k == 0:
-        state._target_corr = corr.ravel()
-    return corr
-
-
-def _argmax_correlation(corr: np.ndarray, state: PursuitState, dictionary) -> tuple[int, float]:
-    """Flat index of the largest ``|corr|`` among the atoms the state and the
-    dictionary leave selectable; ties go to the smallest row-major index.
-    Returns ``(-1, 0.0)`` if every atom is excluded."""
-    mag = np.abs(corr).ravel()
-    mag[dictionary.redundant] = -1.0
-    mag[state._flat[: state.k]] = -1.0
-    if state.masked:
-        mag[list(state.masked)] = -1.0
-    flat = int(mag.argmax())
-    value = float(mag[flat])
-    if value < 0.0:
-        return -1, 0.0
-    return flat, value
-
-
-def _accept(state: PursuitState, dictionary, flat: int) -> bool:
-    """Add atom ``flat`` to the factorization, or mask it when it depends on
-    the selected span; returns whether it was accepted."""
-    k = state.k
-    state._reserve(k + 1)
-    state._flat[k] = flat
-    g = dictionary.gram(state._flat[: k + 1], flat)
-    norm2 = g[k]
-    linv = state._linv[:k, :k]
-    w = linv @ g[:k]
-    d2 = norm2 - w @ w
-    if not d2 > DEP_TOL * norm2:
-        state.masked.add(flat)
-        return False
-
-    if state._target_corr is None:
-        state._target_corr = dictionary.correlate(state.target.reshape(state.shape)).ravel()
-    d = math.sqrt(d2)
-    state._linv[k, :k] = (w @ linv) / -d
-    state._linv[k, k] = 1.0 / d
-    z = (state._target_corr[flat] - w @ state._z[:k]) / d
-    state._z[k] = z
-    # c = L^-T z: the new row of L^-1 adds z times that row.
-    state._coeffs[: k + 1] += z * state._linv[k, : k + 1]
-    k += 1
-    state.k = k
-    state.selected.append(dictionary.address_of(flat))
-    state._dictionary = dictionary
-    synthesis = dictionary.synthesize(state._flat[:k], state._coeffs[:k])
-    state._residual = state.target - synthesis.ravel()
-    return True
+        k = self.k
+        return self.orthonormal_basis @ self._rows.factor[0, :k, :k]
 
 
 def select_atom(state: PursuitState, dictionary) -> object:
     """Address of the candidate atom maximizing ``|<atom, residual>|``.
 
-    Masked atoms, already-accepted atoms and the dictionary's ``redundant``
-    atoms (exact twins of a smaller address) are excluded, so ties between
-    equal atoms go to the smallest address. Raises
-    :class:`PursuitExhaustedError` when no candidate remains. With an
-    all-zero residual the correlation maximum is zero and the tie rule picks
-    the smallest address.
+    Masked atoms, already-accepted atoms and the atoms that are not
+    candidates (the dictionary's ``redundant`` twins of a smaller address)
+    are excluded; among atoms whose correlations tie within ``TIE_TOL`` the
+    smallest address wins. Raises :class:`PursuitExhaustedError` when no
+    candidate remains. With an all-zero residual the correlation maximum is
+    zero and the tie rule picks the smallest address.
     """
-    corr = _correlate(state, dictionary)
-    flat, _ = _argmax_correlation(corr, state, dictionary)
-    if flat < 0:
+    rows = state._rows
+    masked = [_position(dictionary, flat) for flat in sorted(state.masked)]
+    rows.masked = np.array([masked], dtype=np.intp).reshape(1, len(masked))
+    pos, top, _ = _select(rows, dictionary)
+    if top[0] < 0.0:
         raise PursuitExhaustedError("all dictionary atoms are masked")
-    return dictionary.address_of(flat)
+    return dictionary.address_of(dictionary.candidates[pos[0]])
 
 
 def orthogonalize_and_update(state: PursuitState, dictionary, address) -> PursuitState:
@@ -247,8 +387,139 @@ def orthogonalize_and_update(state: PursuitState, dictionary, address) -> Pursui
     flat = dictionary.flat_index(address)
     if state.k >= state.capacity:
         raise ValueError(f"pursuit state is full ({state.k} atoms)")
-    _accept(state, dictionary, flat)
+    rows = state._rows
+    if rows.k[0] == rows.capacity:
+        rows = state._rows = rows.take(rows.row, _next_capacity(rows.capacity, state.capacity))
+    pos = np.array([_position(dictionary, flat)])
+    if _accept(rows, dictionary, np.array([flat]), pos, rows.live)[1]:
+        state.selected.append(address)
+        state._dictionary = dictionary
+    else:
+        state.masked.add(flat)
     return state
+
+
+def pursue(
+    signals: np.ndarray,
+    dictionary,
+    rule: StoppingRule,
+    trace: list | None = None,
+) -> list[tuple[SparseBlock, float]]:
+    """Greedy pursuit of each signal of a stack until the stopping rule fires.
+
+    Returns one ``(expansion, residual norm)`` per signal, each the same as
+    :func:`run_omp` gives for that signal alone. Signals are pursued in
+    groups of ``GROUP_ENTRIES // len(dictionary.candidates)``. When ``trace``
+    is a list, one ``(index, k, address, abs_corr, sse)`` tuple is appended
+    per accepted atom, ordered by signal and then by ``k``.
+
+    Raises :class:`PursuitExhaustedError`, with the signal's ``index``, if
+    every atom of a signal gets masked while its threshold is still unmet
+    and its cap unreached. A selection maximum of exactly zero stops that
+    signal's pursuit instead, since no further progress is possible.
+    """
+    shape = dictionary.signal_shape
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.shape[1:] != shape:
+        raise ValueError(f"signal shape {signals.shape[1:]} does not match dictionary {shape}")
+    count, dim = len(signals), int(np.prod(shape))
+    use_threshold = rule.mode in ("target_sse", "both")
+    use_cap = rule.mode in ("max_atoms", "both")
+    threshold = rule.sse_threshold if use_threshold else 0.0
+    if use_cap and rule.atom_cap > dim:
+        raise ValueError(f"atom_cap {rule.atom_cap} exceeds the signal dimension {dim}")
+    cap = rule.atom_cap if use_cap else dim
+
+    group = max(1, GROUP_ENTRIES // len(dictionary.candidates))
+    flat_signals = signals.reshape(count, dim)
+    results: list = [None] * count
+    steps: list | None = [] if trace is not None else None
+    for start in range(0, count, group):
+        ids = np.arange(start, min(start + group, count))
+        _pursue_group(
+            _Rows(ids, flat_signals[ids].copy(), _next_capacity(0, cap)),
+            dictionary, threshold, cap, results, steps,
+        )
+
+    if trace is not None and steps:
+        index, k, flat, corr, sse = (np.concatenate(column) for column in zip(*steps))
+        order = np.lexsort((k, index))
+        for t in order.tolist():
+            trace.append((int(index[t]), int(k[t]), dictionary.address_of(flat[t]), float(corr[t]), float(sse[t])))
+    out = []
+    for flats, coeffs, sse in results:
+        entries = [(dictionary.address_of(f), c) for f, c in zip(flats, coeffs)]
+        out.append((SparseBlock(entries=entries), float(np.sqrt(sse))))
+    return out
+
+
+def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
+    """Advance one group, tier by tier, until every row has retired."""
+    tiers = {rows.capacity: rows}
+    if cap == 0:  # the tiers below retire rows at the cap only once they fill it
+        _finish(rows, rows.row, results)
+    _retire(rows, threshold, results)
+    while tiers:
+        for K in sorted(tiers):
+            rows = tiers.pop(K)
+            if rows.n_live:
+                _step(rows, dictionary, threshold, results, steps)
+            # Rows that filled their capacity move up, or retire at the cap.
+            # Retired rows are dropped then, or once they are the majority.
+            if np.maximum.reduce(rows.k) == K:
+                full = rows.k == K
+                full &= rows.live
+                if K == cap:
+                    _finish(rows, np.flatnonzero(full), results)
+                elif np.count_nonzero(full):
+                    moved = rows.take(np.flatnonzero(full), _next_capacity(K, cap))
+                    K2 = moved.capacity
+                    tiers[K2] = tiers[K2].merge(moved) if K2 in tiers else moved
+                rows = rows.take(np.flatnonzero(rows.live & ~full))
+            elif 2 * rows.n_live < len(rows):
+                rows = rows.take(np.flatnonzero(rows.live))
+            if len(rows):
+                tiers[K] = tiers[K].merge(rows) if K in tiers else rows
+
+
+def _step(rows: _Rows, dictionary, threshold: float, results: list, steps) -> None:
+    """One atom for every live row of a tier."""
+    pos, top, mag = _select(rows, dictionary)
+    if np.minimum.reduce(top) <= 0.0:
+        live = rows.live
+        exhausted = np.flatnonzero(live & (top < 0.0))
+        if len(exhausted):
+            r = exhausted[0]
+            raise PursuitExhaustedError(
+                f"all atoms masked with residual SSE {rows.sse[r]:.6g} above threshold {threshold:.6g}",
+                index=int(rows.ids[r]),
+            )
+        # a zero maximum: the residual is orthogonal to the whole dictionary
+        _finish(rows, np.flatnonzero(live & (top == 0.0)), results)
+    flat = dictionary.candidates[pos]
+    accepted, count = _accept(rows, dictionary, flat, pos, rows.live)
+    if count < rows.n_live:
+        rows.mask(np.flatnonzero(rows.live & ~accepted), pos)
+    if steps is not None:
+        a = np.flatnonzero(accepted)
+        steps.append((rows.ids[a], rows.k[a], flat[a], mag[a, pos[a]], rows.sse[a]))
+    _retire(rows, threshold, results)
+
+
+def _retire(rows: _Rows, threshold: float, results: list) -> None:
+    """Retire the live rows that met the threshold."""
+    done = rows.sse <= threshold
+    done &= rows.live
+    if np.count_nonzero(done):
+        _finish(rows, np.flatnonzero(done), results)
+
+
+def _finish(rows: _Rows, which: np.ndarray, results: list) -> None:
+    for r in which.tolist():
+        k = rows.k[r]
+        results[rows.ids[r]] = (rows.flats[r, :k].tolist(), rows.coeffs[r, :k].tolist(), rows.sse[r])
+    rows.live[which] = False
+    rows.n_live -= len(which)
 
 
 def run_omp(
@@ -273,31 +544,8 @@ def run_omp(
         raise ValueError(
             f"signal shape {signal.shape} does not match dictionary {dictionary.signal_shape}"
         )
-    dim = signal.size
-
-    use_threshold = rule.mode in ("target_sse", "both")
-    use_cap = rule.mode in ("max_atoms", "both")
-    threshold = rule.sse_threshold if use_threshold else 0.0
-    cap = min(rule.atom_cap, dim) if use_cap else dim
-    if use_cap and rule.atom_cap > dim:
-        raise ValueError(f"atom_cap {rule.atom_cap} exceeds the signal dimension {dim}")
-
-    state = PursuitState(signal, capacity=cap)
-    while True:
-        sse = state.residual_sse
-        if sse <= threshold or state.k >= cap:
-            break
-        corr = _correlate(state, dictionary)
-        flat, value = _argmax_correlation(corr, state, dictionary)
-        if flat < 0:
-            raise PursuitExhaustedError(
-                f"all atoms masked with residual SSE {sse:.6g} above threshold {threshold:.6g}"
-            )
-        if value == 0.0:
-            break  # residual is orthogonal to the whole dictionary
-        if _accept(state, dictionary, flat) and trace is not None:
-            trace.append((state.k, state.selected[-1], value, state.residual_sse))
-
-    coeffs = state.coefficients
-    block = SparseBlock(entries=[(addr, float(c)) for addr, c in zip(state.selected, coeffs)])
-    return block, float(np.sqrt(state.residual_sse))
+    rows: list | None = [] if trace is not None else None
+    (result,) = pursue(signal[None], dictionary, rule, trace=rows)
+    if trace is not None:
+        trace.extend(row[1:] for row in rows)
+    return result

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparseimg
 from sparseimg import read_pgm, write_pgm
 from sparseimg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
@@ -215,3 +221,26 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self, pgm_path):
         assert run(["encode", "--wat", str(pgm_path)]) == EXIT_USAGE
+
+    def test_workers_option_is_gone(self, pgm_path):
+        assert run(["encode", "--workers", "2", str(pgm_path)]) == EXIT_USAGE
+
+
+class TestBlasThreads:
+    def test_container_does_not_depend_on_blas_thread_count(self, tmp_path):
+        noise = np.random.default_rng(4).normal(0.0, 6.0, size=(128, 128))
+        pixels = np.clip(np.rint(synthetic_image(128, 128).as_float() + noise), 0, 255)
+        write_pgm(tmp_path / "img.pgm", pixels.astype(np.uint8))
+        src = str(Path(sparseimg.__file__).resolve().parent.parent)
+        containers = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            subprocess.run(
+                [sys.executable, "-m", "sparseimg.cli", "encode", str(tmp_path / "img.pgm"), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            containers.append((out / "img.sic").read_bytes())
+        assert containers[0] == containers[1]

@@ -1,18 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparseimg import (
+    Dictionary2D,
     DictionaryKind,
     EncodedImage,
     ImageGray8,
     SparseBlock,
+    StoppingRule,
+    assemble_dictionary,
     decode,
     encode,
     psnr,
     psnr_to_block_sse,
     read_pgm,
+    run_omp,
     write_pgm,
 )
 from sparseimg.codec import (
@@ -101,11 +106,49 @@ class TestEncode:
         with pytest.raises(ValueError, match="divisible"):
             encode(img, dict2_linear16, 40.0)
 
-    def test_worker_pool_output_is_identical(self, dict2_linear16, small_image):
-        enc1, rep1 = encode(small_image, dict2_linear16, 36.0, workers=1)
-        enc4, rep4 = encode(small_image, dict2_linear16, 36.0, workers=4)
-        assert serialize(enc1) == serialize(enc4)
-        assert rep1.achieved_psnr == rep4.achieved_psnr
+    @pytest.mark.parametrize("L", [16, 8])
+    def test_blocks_do_not_depend_on_their_group(self, L):
+        # The image's blocks are pursued in groups of 20 (L = 16) or 81
+        # (L = 8) consecutive blocks, the tile's in one group of its own and
+        # run_omp's in groups of one: each block must come out bit for bit
+        # the same.
+        d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
+        noise = np.random.default_rng(6).normal(0.0, 6.0, size=(128, 256))
+        pixels = np.clip(np.rint(synthetic_image(128, 256).as_float() + noise), 0, 255)
+        image = ImageGray8.from_array(pixels.astype(np.uint8))
+        whole, _ = encode(image, d, 40.0)
+        ty, tx = 64, 128
+        tile, _ = encode(ImageGray8.from_array(pixels[ty : ty + 64, tx : tx + 64].astype(np.uint8)), d, 40.0)
+        rule = StoppingRule("both", psnr_to_block_sse(40.0, L), L * L)
+        per, across = 64 // L, 256 // L
+        for n, block in enumerate(tile.blocks):
+            by, bx = ty // L + n // per, tx // L + n % per
+            alone, _ = run_omp(pixels[by * L : (by + 1) * L, bx * L : (bx + 1) * L], d, rule)
+            for other in (whole.blocks[by * across + bx], alone):
+                assert [a for a, _ in other.entries] == [a for a, _ in block.entries]
+                assert np.array([c for _, c in other.entries]).tobytes() == np.array(
+                    [c for _, c in block.entries]
+                ).tobytes()
+
+    def test_peak_memory_is_bounded_by_the_group_budget(self, dict2_cubic16):
+        # Noise over texture takes up to ~90 atoms per block. The encoded
+        # entries hold about 2.7 MB. A group holds GROUP_ENTRIES // 8,464 = 15
+        # blocks, each with about 0.35 MB: its rows of the correlation stacks
+        # (correlations, magnitudes, target correlations; ~70 KB each) and a
+        # factor of up to 128 x 130 doubles (133 KB), briefly twice when it
+        # grows.
+        rng = np.random.default_rng(0)
+        y, x = np.mgrid[0:256, 0:256]
+        pixels = 128.0 + 40.0 * np.sin(x / 3.0) * np.cos(y / 5.0) + rng.normal(0.0, 12.0, (256, 256))
+        image = ImageGray8.from_array(np.clip(pixels, 0, 255).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            enc, report = encode(image, dict2_cubic16, 40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(report.block_histogram) > 64
+        assert peak < 8 * 2**20
 
     def test_trace_collects_rows_per_block(self, dict2_linear16, small_image):
         trace = []

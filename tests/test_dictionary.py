@@ -292,6 +292,14 @@ class TestDictionary2D:
             i, j = d.address_of(flat)
             assert canonical[i] != i or canonical[j] != j
 
+    def test_stacked_correlate_covers_the_candidates_in_order(self, dict2_cubic16):
+        d = dict2_cubic16
+        assert np.all(np.diff(d.candidates) > 0)
+        assert np.array_equal(np.union1d(d.candidates, d.redundant), np.arange(d.n_atoms))
+        blocks = np.random.default_rng(23).normal(size=(3, 16, 16))
+        for block, row in zip(blocks, d.correlate(blocks)):
+            np.testing.assert_allclose(row, correlate_all(d, block).ravel()[d.candidates], atol=1e-12)
+
     def test_gram_and_synthesize_match_dense_atoms(self, dict2_cubic16):
         dense = flattened_atoms(dict2_cubic16)
         rng = np.random.default_rng(19)

@@ -15,6 +15,7 @@ from sparseimg import (
     run_omp,
     select_atom,
 )
+from sparseimg.pursuit import pursue
 
 from _oracles import least_squares_coeffs
 
@@ -96,6 +97,24 @@ class TestSelectAtom:
         state.masked.update({0, 1})
         with pytest.raises(PursuitExhaustedError):
             select_atom(state, md)
+
+
+class TestTieWindow:
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_exact_tie_goes_to_smaller_address_in_any_group(self, first):
+        # <a, f> = <b, f> = 1 + 2**-52 exactly, but summed in order a gives
+        # 1 + 2**-53 + 2**-53 = 1 and b gives 2**-53 + 2**-53 + 1 = 1 + 2**-52
+        e = 2.0**-53
+        a, b = [1.0, e, e], [e, e, 1.0]
+        md = MatrixDictionary(np.array([a, b] if first == 0 else [b, a]).T)
+        f = np.ones(3)
+        assert select_atom(PursuitState(f, capacity=1), md) == 0
+        rule = StoppingRule("max_atoms", atom_cap=1)
+        others = np.random.default_rng(3).normal(size=(4, 3))
+        for stack in (f[None], np.vstack([others, f]), np.vstack([f, others, f])):
+            for (block, _), signal in zip(pursue(stack, md, rule), stack):
+                if np.array_equal(signal, f):
+                    assert [address for address, _ in block.entries] == [0]
 
 
 class TestOrthogonalizeAndUpdate:
