@@ -8,11 +8,11 @@ comparable with the pursuit's atom count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import psnr
+from .codec import from_blocks, psnr, to_blocks
 
 DCT_KIND = "dct2_block"
 CDF97_KIND = "cdf97_full"
@@ -37,44 +37,26 @@ class TransformCoeffs:
     levels: int | None = None
 
 
-_dct_cache: dict[int, np.ndarray] = {}
-
-
 def dct_matrix(L: int) -> np.ndarray:
     """Orthonormal DCT-II basis matrix (rows are basis vectors)."""
-    if L not in _dct_cache:
-        x = np.arange(L)
-        D = np.cos(np.pi * (2.0 * x[None, :] + 1.0) * x[:, None] / (2.0 * L))
-        D *= np.sqrt(2.0 / L)
-        D[0, :] /= np.sqrt(2.0)
-        D.setflags(write=False)
-        _dct_cache[L] = D
-    return _dct_cache[L]
-
-
-def _as_blocks(img: np.ndarray, L: int) -> np.ndarray:
-    h, w = img.shape
-    if h % L or w % L:
-        raise ValueError(f"image {h}x{w} is not divisible into {L}x{L} blocks")
-    return img.reshape(h // L, L, w // L, L).swapaxes(1, 2)
-
-
-def _from_blocks(blocks: np.ndarray) -> np.ndarray:
-    by, bx, L, _ = blocks.shape
-    return blocks.swapaxes(1, 2).reshape(by * L, bx * L)
+    x = np.arange(L)
+    D = np.cos(np.pi * (2.0 * x[None, :] + 1.0) * x[:, None] / (2.0 * L))
+    D *= np.sqrt(2.0 / L)
+    D[0, :] /= np.sqrt(2.0)
+    return D
 
 
 def dct2_block_forward(img: np.ndarray, L: int = 16) -> TransformCoeffs:
     """Orthonormal 2D DCT-II applied independently to each ``L x L`` block."""
     img = np.asarray(img, dtype=np.float64)
     D = dct_matrix(L)
-    coeffs = _from_blocks(D @ _as_blocks(img, L) @ D.T)
+    coeffs = from_blocks(D @ to_blocks(img, L) @ D.T)
     return TransformCoeffs(kind=DCT_KIND, values=coeffs, block_size=L)
 
 
 def dct2_block_inverse(coeffs: TransformCoeffs) -> np.ndarray:
     D = dct_matrix(coeffs.block_size)
-    return _from_blocks(D.T @ _as_blocks(coeffs.values, coeffs.block_size) @ D)
+    return from_blocks(D.T @ to_blocks(coeffs.values, coeffs.block_size) @ D)
 
 
 def _lift_axis0(a: np.ndarray) -> None:
@@ -159,12 +141,7 @@ def threshold_to_psnr(
         kept = np.zeros_like(flat)
         idx = order[:count]
         kept[idx] = flat[idx]
-        trimmed = TransformCoeffs(
-            kind=coeffs.kind,
-            values=kept.reshape(coeffs.values.shape),
-            block_size=coeffs.block_size,
-            levels=coeffs.levels,
-        )
+        trimmed = replace(coeffs, values=kept.reshape(coeffs.values.shape))
         return psnr(img, inverse_transform(trimmed))
 
     lo, hi = 0, flat.size

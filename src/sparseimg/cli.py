@@ -9,17 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import baselines, codec
-from .dictionary import (
-    DILATIONS,
-    Dictionary2D,
-    DictionaryKind,
-    assemble_dictionary,
-    sample_prototype,
-)
+from .dictionary import Dictionary2D, DictionaryKind, assemble_dictionary
 from .pursuit import PursuitExhaustedError
 
 EXIT_OK = 0
@@ -31,17 +24,8 @@ OMP_METHODS = {
     "omp_linear": DictionaryKind.DCT2_LINEAR,
     "omp_cubic": DictionaryKind.DCT2_CUBIC,
 }
+_METHOD_OF_KIND = {kind.value: method for method, kind in OMP_METHODS.items()}
 METHODS = ("omp_linear", "omp_cubic", "dct", "cdf97")
-
-# Maximum 1D atom support per spline family; the block must be able to hold
-# the widest untruncated atom.
-MAX_SUPPORT = {
-    kind: sample_prototype(kind.spline_order, max(DILATIONS)).support for kind in DictionaryKind
-}
-
-# Largest block side a container can hold: each block stores its entry count
-# as a u16, and a block can keep up to L * L atoms.
-MAX_BLOCK = 255
 
 # Published reference compression ratios at PSNR 40 dB for the classic
 # 512x512 grayscale test set, per method column. "film" has no public
@@ -68,41 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunConfig:
-    """Validated encode configuration."""
-
-    inputs: list[Path]
-    method: str
-    block_size: int = 16
-    target_psnr: float = 40.0
-    levels: int = 5
-    out_dir: Path | None = None
-    report: Path | None = None
-    trace: bool = False
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise UsageError(f"unknown method {self.method!r}, choose from {METHODS}")
-        if not self.target_psnr > 0:
-            raise UsageError(f"--psnr must be positive, got {self.target_psnr}")
-        if self.block_size < 1:
-            raise UsageError(f"--block must be positive, got {self.block_size}")
-        kind = OMP_METHODS.get(self.method)
-        if kind is not None and self.block_size < MAX_SUPPORT[kind]:
-            raise UsageError(
-                f"block size {self.block_size} is smaller than the widest "
-                f"{self.method} atom support ({MAX_SUPPORT[kind]})"
-            )
-        if kind is not None and self.block_size > MAX_BLOCK:
-            raise UsageError(
-                f"block size {self.block_size} exceeds {MAX_BLOCK}: a container block "
-                "holds at most 65535 entries"
-            )
-        if self.levels < 1:
-            raise UsageError(f"--levels must be >= 1, got {self.levels}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sparseimg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="decode a .sic container to PGM")
     dec.add_argument("container", help=".sic input")
     dec.add_argument("--out", help="output PGM path (default: container with .pgm suffix)")
-    dec.add_argument("--orig", help="original PGM; prints the achieved PSNR when given")
+    dec.add_argument("--orig", help="original PGM; prints psnr_u8 (8-bit output), psnr (real-valued)")
 
     tab = sub.add_parser("table", help="merge sparsity reports into one CR table")
     tab.add_argument("reports", nargs="+", help="report CSVs produced by encode")
@@ -133,17 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _encode_one_omp(path: Path, config: RunConfig, dict2d: Dictionary2D):
-    img = codec.read_pgm(path)
-    trace_rows: list | None = [] if config.trace else None
+def _encode_one_omp(path: Path, img: codec.ImageGray8, args, dict2d: Dictionary2D):
+    trace_rows: list | None = [] if args.trace else None
     enc, report = codec.encode(
         img,
         dict2d,
-        config.target_psnr,
+        args.psnr,
         image_name=path.stem,
         trace=trace_rows,
     )
-    out_dir = config.out_dir if config.out_dir is not None else path.parent
+    out_dir = Path(args.out) if args.out else path.parent
     out_path = out_dir / (path.stem + ".sic")
     codec.write_sic(out_path, enc)
     if trace_rows is not None:
@@ -155,48 +103,61 @@ def _encode_one_omp(path: Path, config: RunConfig, dict2d: Dictionary2D):
     return report, out_path
 
 
-def _encode_one_baseline(path: Path, config: RunConfig):
-    img = codec.read_pgm(path)
+def _encode_one_baseline(path: Path, img: codec.ImageGray8, args):
     data = img.as_float()
-    if config.method == "dct":
-        coeffs = baselines.dct2_block_forward(data, config.block_size)
+    if args.method == "dct":
+        coeffs = baselines.dct2_block_forward(data, args.block)
     else:
-        coeffs = baselines.cdf97_forward(data, config.levels)
-    kept, achieved = baselines.threshold_to_psnr(coeffs, data, config.target_psnr)
+        coeffs = baselines.cdf97_forward(data, args.levels)
+    kept, achieved = baselines.threshold_to_psnr(coeffs, data, args.psnr)
     report = codec.SparsityReport(
         image=path.stem,
-        dictionary=config.method,
+        dictionary=args.method,
         total_atoms=kept,
         pixel_count=img.width * img.height,
-        target_psnr=config.target_psnr,
+        target_psnr=args.psnr,
         achieved_psnr=achieved,
     )
     return report, None
 
 
-def cmd_encode(config: RunConfig) -> int:
-    config.validate()
+def cmd_encode(args) -> int:
+    if not args.psnr > 0:
+        raise UsageError(f"--psnr must be positive, got {args.psnr}")
+    if args.block < 1:
+        raise UsageError(f"--block must be positive, got {args.block}")
+    if args.levels < 1:
+        raise UsageError(f"--levels must be >= 1, got {args.levels}")
     dict2d = None
-    kind = OMP_METHODS.get(config.method)
-    if kind is not None:
-        dict2d = Dictionary2D(assemble_dictionary(kind, config.block_size))
-    for path in config.inputs:
+    if args.method in OMP_METHODS:
+        if args.block > codec.MAX_BLOCK:
+            raise UsageError(
+                f"block size {args.block} exceeds {codec.MAX_BLOCK}: a container block "
+                f"holds at most {codec.MAX_ENTRIES} entries"
+            )
+        # The dictionary rejects a block shorter than a spline prototype.
         try:
+            dict2d = Dictionary2D(assemble_dictionary(OMP_METHODS[args.method], args.block))
+        except ValueError as exc:
+            raise UsageError(f"--block {args.block} is too small for {args.method}: {exc}") from exc
+    for path in map(Path, args.inputs):
+        try:
+            img = codec.read_pgm(path)
             if dict2d is not None:
-                report, out_path = _encode_one_omp(path, config, dict2d)
+                report, out_path = _encode_one_omp(path, img, args, dict2d)
             else:
-                report, out_path = _encode_one_baseline(path, config)
+                report, out_path = _encode_one_baseline(path, img, args)
         except (OSError, ValueError) as exc:
             print(f"sparseimg: {path}: {exc}", file=sys.stderr)
             return EXIT_IO
         except PursuitExhaustedError as exc:
             print(f"sparseimg: {path}: pursuit exhausted: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        if config.report is not None:
-            codec.append_report(config.report, report)
+        if args.report:
+            codec.append_report(args.report, report)
         made = f" -> {out_path}" if out_path is not None else ""
         print(
-            f"{path}: {config.method} atoms={report.total_atoms} "
+            f"{path}: {args.method} atoms={report.total_atoms} "
             f"CR={report.compression_ratio:.2f} psnr={report.achieved_psnr:.2f}{made}"
         )
     return EXIT_OK
@@ -211,9 +172,10 @@ def cmd_decode(args) -> int:
         return EXIT_IO
     dict2d = Dictionary2D(assemble_dictionary(enc.kind, enc.block_size))
     image = codec.decode(enc, dict2d)
+    pixels = codec.clamp_to_u8(image)
     out_path = Path(args.out) if args.out else container.with_suffix(".pgm")
     try:
-        codec.write_pgm(out_path, codec.clamp_to_u8(image))
+        codec.write_pgm(out_path, pixels)
     except OSError as exc:
         print(f"sparseimg: {out_path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -224,7 +186,7 @@ def cmd_decode(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"sparseimg: {args.orig}: {exc}", file=sys.stderr)
             return EXIT_IO
-        print(f"psnr={codec.psnr(original, image):.2f}")
+        print(f"psnr_u8={codec.psnr(original, pixels):.2f} psnr={codec.psnr(original, image):.2f}")
     return EXIT_OK
 
 
@@ -246,16 +208,8 @@ def _merge_reports(paths) -> tuple[list[str], dict[str, dict[str, float]], float
             if name not in table:
                 images.append(name)
                 table[name] = {}
-            table[name][_method_name(row["dictionary"])] = float(row["cr"])
+            table[name][_METHOD_OF_KIND.get(row["dictionary"], row["dictionary"])] = float(row["cr"])
     return images, table, target if target is not None else 0.0
-
-
-def _method_name(dictionary: str) -> str:
-    if dictionary == DictionaryKind.DCT2_LINEAR.value:
-        return "omp_linear"
-    if dictionary == DictionaryKind.DCT2_CUBIC.value:
-        return "omp_cubic"
-    return dictionary
 
 
 def cmd_table(args) -> int:
@@ -311,17 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "encode":
-            config = RunConfig(
-                inputs=[Path(p) for p in args.inputs],
-                method=args.method,
-                block_size=args.block,
-                target_psnr=args.psnr,
-                levels=args.levels,
-                out_dir=Path(args.out) if args.out else None,
-                report=Path(args.report) if args.report else None,
-                trace=args.trace,
-            )
-            return cmd_encode(config)
+            return cmd_encode(args)
         if args.command == "decode":
             return cmd_decode(args)
         return cmd_table(args)

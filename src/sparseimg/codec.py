@@ -45,6 +45,11 @@ _HEADER = struct.Struct("<4sHIIHBId")
 _COUNT = struct.Struct("<H")
 _ENTRY = struct.Struct("<Id")
 
+# Each block stores its entry count as a u16, and a block of side L keeps up
+# to L * L atoms, so L may not exceed isqrt(MAX_ENTRIES).
+MAX_ENTRIES = 65535
+MAX_BLOCK = math.isqrt(MAX_ENTRIES)
+
 PEAK = 255.0
 
 
@@ -144,10 +149,11 @@ def psnr(original, approx) -> float:
     b = approx.as_float() if isinstance(approx, ImageGray8) else np.asarray(approx, float)
     if a.shape != b.shape:
         raise ValueError(f"image dimensions differ: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(PEAK**2 / mse)
+    return _mse_to_psnr(float(np.mean((a - b) ** 2)))
+
+
+def _mse_to_psnr(mse: float) -> float:
+    return math.inf if mse == 0.0 else 10.0 * math.log10(PEAK**2 / mse)
 
 
 def psnr_to_block_sse(target_db: float, L: int) -> float:
@@ -164,7 +170,7 @@ def psnr_to_block_sse(target_db: float, L: int) -> float:
 
 @dataclass
 class EncodedImage:
-    """Header plus row-major per-block sparse expansions."""
+    """Header plus the sparse expansion of each block of :attr:`grid`, row-major."""
 
     width: int
     height: int
@@ -173,6 +179,14 @@ class EncodedImage:
     n_base: int
     target_psnr: float
     blocks: list[SparseBlock] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        rows, cols = self.grid
+        if len(self.blocks) != rows * cols:
+            raise ValueError(
+                f"{len(self.blocks)} blocks for a {self.width}x{self.height} image, "
+                f"which has {rows * cols} blocks of {self.block_size}x{self.block_size}"
+            )
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -232,10 +246,18 @@ def read_report(path) -> list[dict[str, str]]:
     return rows
 
 
-def _iter_blocks(shape: tuple[int, int], L: int):
-    for by in range(shape[0] // L):
-        for bx in range(shape[1] // L):
-            yield by, bx
+def to_blocks(image: np.ndarray, L: int) -> np.ndarray:
+    """View of ``image`` as its ``(rows, cols, L, L)`` grid of blocks."""
+    h, w = image.shape
+    if h % L or w % L:
+        raise ValueError(f"image {w}x{h} is not divisible into {L}x{L} blocks")
+    return image.reshape(h // L, L, w // L, L).swapaxes(1, 2)
+
+
+def from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_blocks`."""
+    rows, cols, L, _ = blocks.shape
+    return blocks.swapaxes(1, 2).reshape(rows * L, cols * L)
 
 
 def encode(
@@ -254,19 +276,14 @@ def encode(
     and then by ``k``.
     """
     L = dict2d.base.block_len
-    if img.width % L or img.height % L:
-        raise ValueError(
-            f"image {img.width}x{img.height} is not divisible into {L}x{L} blocks"
-        )
+    grid = to_blocks(img.as_float(), L)
     threshold = psnr_to_block_sse(target_db, L)
     rule = StoppingRule(mode="both", sse_threshold=threshold, atom_cap=L * L)
-    rows_of_blocks, per_row = img.height // L, img.width // L
-    blocks = img.as_float().reshape(rows_of_blocks, L, per_row, L).swapaxes(1, 2).reshape(-1, L, L)
     steps: list | None = [] if trace is not None else None
     try:
-        results = pursue(blocks, dict2d, rule, trace=steps)
+        results = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=steps)
     except PursuitExhaustedError as exc:
-        by, bx = divmod(exc.index, per_row)
+        by, bx = divmod(exc.index, grid.shape[1])
         raise PursuitExhaustedError(f"block ({by}, {bx}): {exc}", index=exc.index) from exc
 
     enc = EncodedImage(
@@ -282,15 +299,13 @@ def encode(
         trace.extend((index, k, i, j, corr, sse) for index, k, (i, j), corr, sse in steps)
 
     total_sse = sum(norm**2 for _, norm in results)
-    mse = total_sse / (img.width * img.height)
-    achieved = math.inf if mse == 0.0 else 10.0 * math.log10(PEAK**2 / mse)
     report = SparsityReport(
         image=image_name,
         dictionary=dict2d.base.kind.value,
         total_atoms=sum(len(sparse) for sparse, _ in results),
         pixel_count=img.width * img.height,
         target_psnr=float(target_db),
-        achieved_psnr=achieved,
+        achieved_psnr=_mse_to_psnr(total_sse / (img.width * img.height)),
         block_histogram=dict(Counter(len(sparse) for sparse, _ in results)),
     )
     return enc, report
@@ -311,10 +326,10 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
             f"container expects {enc.n_base} base atoms at block {enc.block_size}, "
             f"dictionary has {dict2d.n_base} at block {dict2d.base.block_len}"
         )
-    L = enc.block_size
     out = np.zeros((enc.height, enc.width))
-    for (by, bx), sparse in zip(_iter_blocks((enc.height, enc.width), L), enc.blocks):
-        out[by * L : (by + 1) * L, bx * L : (bx + 1) * L] = dict2d.reconstruct(sparse.entries)
+    grid = to_blocks(out, enc.block_size)
+    for n, sparse in enumerate(enc.blocks):
+        grid[divmod(n, grid.shape[1])] = dict2d.reconstruct(sparse.entries)
     return out
 
 
@@ -332,7 +347,12 @@ def serialize(enc: EncodedImage) -> bytes:
             enc.target_psnr,
         )
     )
-    for sparse in enc.blocks:
+    for n, sparse in enumerate(enc.blocks):
+        if len(sparse.entries) > MAX_ENTRIES:
+            raise ValueError(
+                f"block {divmod(n, enc.grid[1])} holds {len(sparse.entries)} atoms; "
+                f"a container block holds at most {MAX_ENTRIES}"
+            )
         buf.write(_COUNT.pack(len(sparse.entries)))
         for (i, j), coeff in sparse.entries:
             buf.write(_ENTRY.pack(i * enc.n_base + j, coeff))

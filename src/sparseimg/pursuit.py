@@ -465,7 +465,12 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
             if rows.n_live:
                 _step(rows, dictionary, threshold, results, steps)
             # Rows that filled their capacity move up, or retire at the cap.
-            # Retired rows are dropped then, or once they are the majority.
+            # Retired rows are dropped then, or once they are the majority;
+            # until then the tier still computes them. On the benchmark's
+            # mixed image they are 2.4-2.7% of the rows computed (0-18% on
+            # the other images). Copying the tier whenever a row retires ran
+            # at 0.84x on mixed and 0.93x on texture (L = 8 tiles), and
+            # swap-with-last removal saved only 3 lines of bookkeeping.
             if np.maximum.reduce(rows.k) == K:
                 full = rows.k == K
                 full &= rows.live
@@ -478,8 +483,8 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
                 rows = rows.take(np.flatnonzero(rows.live & ~full))
             elif 2 * rows.n_live < len(rows):
                 rows = rows.take(np.flatnonzero(rows.live))
-            if len(rows):
-                tiers[K] = tiers[K].merge(rows) if K in tiers else rows
+            if len(rows):  # K was popped above, and rows only move up
+                tiers[K] = rows
 
 
 def _step(rows: _Rows, dictionary, threshold: float, results: list, steps) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sparseimg
-from sparseimg import read_pgm, write_pgm
+from sparseimg import psnr, read_pgm, write_pgm
 from sparseimg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 from conftest import synthetic_image
@@ -98,6 +98,29 @@ class TestEncodeCommand:
         assert "256" in err and "65535" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method, block", [("omp_linear", "4"), ("omp_cubic", "10")])
+    def test_block_below_the_widest_support_is_usage_error(self, pgm_path, capsys, method, block):
+        # one below the widest spline support of each family (5 and 11)
+        code = run(["encode", "--method", method, "--block", block, str(pgm_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "support" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "omp_linear", "--block", "0"],
+            ["--method", "dct", "--block", "0"],
+            ["--psnr", "0"],
+            ["--method", "dct", "--psnr", "0"],
+            ["--levels", "0"],
+        ],
+    )
+    def test_nonpositive_option_is_usage_error(self, pgm_path, capsys, flags):
+        assert run(["encode", *flags, str(pgm_path)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code = run(["encode", "--method", "omp_linear", str(tmp_path / "nope.pgm")])
         assert code == EXIT_IO
@@ -136,6 +159,16 @@ class TestDecodeCommand:
         assert float(printed.split("psnr=")[1]) >= 38.0
         restored = read_pgm(out)
         assert (restored.width, restored.height) == (32, 32)
+
+    def test_psnr_u8_is_that_of_the_written_file(self, tmp_path, pgm_path, capsys):
+        assert run(["encode", "--method", "omp_linear", "--psnr", "38", str(pgm_path)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "restored.pgm"
+        code = run(["decode", str(tmp_path / "img.sic"), "--out", str(out), "--orig", str(pgm_path)])
+        assert code == EXIT_OK
+        printed = capsys.readouterr().out
+        u8 = printed.split("psnr_u8=")[1].split()[0]
+        assert u8 == f"{psnr(read_pgm(pgm_path), read_pgm(out)):.2f}"
 
     def test_without_original_no_psnr_line(self, tmp_path, pgm_path, capsys):
         run(["encode", "--method", "omp_linear", "--psnr", "35", str(pgm_path)])

@@ -21,6 +21,7 @@ from sparseimg import (
     write_pgm,
 )
 from sparseimg.codec import (
+    MAX_ENTRIES,
     ContainerError,
     DictionaryMismatchError,
     append_report,
@@ -232,6 +233,32 @@ class TestContainer:
         )
         with pytest.raises(ContainerError, match="address"):
             deserialize(serialize(enc))
+
+    def test_block_count_must_match_the_grid(self):
+        # a 32x32 image at L = 16 has four blocks
+        with pytest.raises(ValueError, match="1 blocks .* has 4 blocks"):
+            EncodedImage(
+                width=32,
+                height=32,
+                block_size=16,
+                kind=DictionaryKind.DCT2_LINEAR,
+                n_base=86,
+                target_psnr=40.0,
+                blocks=[SparseBlock()],
+            )
+
+    def test_block_beyond_the_u16_entry_count_is_value_error(self):
+        enc = EncodedImage(
+            width=512,
+            height=256,
+            block_size=256,
+            kind=DictionaryKind.DCT2_LINEAR,
+            n_base=1,
+            target_psnr=40.0,
+            blocks=[SparseBlock(), SparseBlock(entries=[((0, 0), 1.0)] * (MAX_ENTRIES + 1))],
+        )
+        with pytest.raises(ValueError, match=r"block \(0, 1\) holds 65536 atoms"):
+            serialize(enc)
 
 
 class TestPgm:
