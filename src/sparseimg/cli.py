@@ -165,15 +165,19 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     container = Path(args.container)
+    out_path = Path(args.out) if args.out else container.with_suffix(".pgm")
+    if args.orig and out_path.resolve() == Path(args.orig).resolve():
+        raise UsageError(f"the output {out_path} is the --orig image; name another with --out")
     try:
         enc = codec.read_sic(container)
+        # a parseable header may still name a block or an atom count that
+        # no dictionary has
+        dict2d = Dictionary2D(assemble_dictionary(enc.kind, enc.block_size))
+        image = codec.decode(enc, dict2d)
     except (OSError, ValueError) as exc:
         print(f"sparseimg: {container}: {exc}", file=sys.stderr)
         return EXIT_IO
-    dict2d = Dictionary2D(assemble_dictionary(enc.kind, enc.block_size))
-    image = codec.decode(enc, dict2d)
     pixels = codec.clamp_to_u8(image)
-    out_path = Path(args.out) if args.out else container.with_suffix(".pgm")
     try:
         codec.write_pgm(out_path, pixels)
     except OSError as exc:

@@ -250,9 +250,12 @@ def assemble_dictionary(kind: DictionaryKind, L: int) -> Dictionary1D:
     """Assemble the full 1D dictionary for ``kind`` at block length ``L``."""
     kind = DictionaryKind(kind)
     m = kind.spline_order
+    # The widest prototype is built first, so a block too short for the
+    # family is rejected with the support it would need.
+    splines = [build_spline_subdict(sample_prototype(m, d), L) for d in reversed(DILATIONS)]
     atoms = build_cosine_dict(L, 2 * L)
-    for dilation in DILATIONS:
-        atoms.extend(build_spline_subdict(sample_prototype(m, dilation), L))
+    for subdict in reversed(splines):  # in increasing dilation
+        atoms.extend(subdict)
     matrix = _readonly(np.column_stack([a.values for a in atoms]))
     return Dictionary1D(kind=kind, block_len=L, atoms=tuple(atoms), matrix=matrix)
 

@@ -17,16 +17,17 @@ atoms and the dictionary supplies only correlations, Gram rows and sums of
 atoms.
 
 One core pursues a group of signals together. Its state is row-stacked,
-one row per signal, and each iteration advances every unfinished row by
-one atom. A row's result never depends on the group it is pursued in:
-every reduction runs over dimensions fixed by the dictionary or by the
-row's own capacity, which steps through ``8, 16, 32, ...`` as its atom count
-grows (BLAS dot products change with zero padding, so a shared padded
-width would not do). Rows of equal capacity form a tier, and an iteration
-makes one numpy call of each kind per tier: correlate, masked argmax, Gram
-row, factor update, synthesis. Blocks started together stay in one tier
-until masking sets some apart. Rows that finish are retired and the
-arrays compacted lazily; a row that fills its tier moves to the next one.
+one row per signal, and each step makes one attempt, accepted or masked,
+for every unfinished row, with one numpy call of each kind: correlate,
+masked argmax, Gram row, factor update, synthesis. A row's result never
+depends on the group it is pursued in: every reduction runs over
+dimensions fixed by the dictionary or by the capacity, which steps through
+``8, 16, 32, ...`` as the group's step count reaches it, just as it would
+for the row alone (BLAS dot products change with zero padding, so a width
+set by the group would not do). A row holds at most as many atoms as steps
+taken, and rows that hold the cap are dropped at once, so no row is full
+when an atom is accepted. Other rows that finish are retired and the
+arrays compacted lazily.
 :func:`run_omp` and the stepwise API (:class:`PursuitState`,
 :func:`select_atom`, :func:`orthogonalize_and_update`) are the same core
 on a group of one.
@@ -127,7 +128,7 @@ def _row_sse(residual: np.ndarray) -> np.ndarray:
 
 
 class _Rows:
-    """Row-stacked state of the signals of one capacity tier.
+    """Row-stacked state of the signals of one group.
 
     Row ``r`` holds ``k[r]`` accepted atoms out of ``capacity``: their flat
     indices and candidate positions (-1 when not a candidate), the factor
@@ -156,7 +157,7 @@ class _Rows:
         self._index()
 
     def _index(self) -> None:
-        """Row indices and liveness of a freshly assembled tier."""
+        """Row indices and liveness of freshly assembled rows."""
         self.row = np.arange(len(self.ids))
         self.column = self.row[:, None]
         self.row_start = self.row * self.capacity
@@ -198,31 +199,15 @@ class _Rows:
         out._index()
         return out
 
-    def merge(self, other: "_Rows") -> "_Rows":
-        """This tier's rows followed by ``other``'s, of the same capacity."""
-        width = max(self.masked.shape[1], other.masked.shape[1])
-        out = object.__new__(_Rows)
-        for name in ("ids", "target", "k", "residual", "sse", "flats", "positions", "factor", "coeffs"):
-            setattr(out, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-        out.masked = np.concatenate([_widen(self.masked, width), _widen(other.masked, width)])
-        out.target_corr = np.concatenate([self.target_corr, other.target_corr])
-        out.capacity = self.capacity
-        out._index()
-        return out
-
     def mask(self, rows: np.ndarray, positions: np.ndarray) -> None:
         """Record candidate ``positions[r]`` as masked for each row in ``rows``."""
         held = (self.masked >= 0).sum(axis=1)
         width = int(held[rows].max()) + 1
         if width > self.masked.shape[1]:
-            self.masked = _widen(self.masked, max(width, 2 * self.masked.shape[1]))
+            wider = np.full((len(self), max(width, 2 * self.masked.shape[1])), -1, dtype=np.intp)
+            wider[:, : self.masked.shape[1]] = self.masked
+            self.masked = wider
         self.masked[rows, held[rows]] = positions[rows]
-
-
-def _widen(a: np.ndarray, width: int) -> np.ndarray:
-    out = np.full((len(a), width), -1, dtype=np.intp)
-    out[:, : a.shape[1]] = a
-    return out
 
 
 def _select(rows: _Rows, dictionary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,7 +234,9 @@ def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.n
     many, and leaves ``k`` unchanged in the others.
 
     Every row is computed; rows that do not accept get zero updates, which
-    leave their state as it was."""
+    leave their state as it was. No row, retired or live, may be full
+    (``k == capacity``): slot ``k`` is written at ``row_start + k``, which
+    for a full row is slot 0 of the next row."""
     K = rows.capacity
     r, k = rows.row, rows.k
     at = rows.row_start + k  # flat index of each row's slot k in a (rows, K) array
@@ -454,41 +441,29 @@ def pursue(
 
 
 def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
-    """Advance one group, tier by tier, until every row has retired."""
-    tiers = {rows.capacity: rows}
-    if cap == 0:  # the tiers below retire rows at the cap only once they fill it
-        _finish(rows, rows.row, results)
-    _retire(rows, threshold, results)
-    while tiers:
-        for K in sorted(tiers):
-            rows = tiers.pop(K)
-            if rows.n_live:
-                _step(rows, dictionary, threshold, results, steps)
-            # Rows that filled their capacity move up, or retire at the cap.
-            # Retired rows are dropped then, or once they are the majority;
-            # until then the tier still computes them. On the benchmark's
-            # mixed image they are 2.4-2.7% of the rows computed (0-18% on
-            # the other images). Copying the tier whenever a row retires ran
-            # at 0.84x on mixed and 0.93x on texture (L = 8 tiles), and
-            # swap-with-last removal saved only 3 lines of bookkeeping.
-            if np.maximum.reduce(rows.k) == K:
-                full = rows.k == K
-                full &= rows.live
-                if K == cap:
-                    _finish(rows, np.flatnonzero(full), results)
-                elif np.count_nonzero(full):
-                    moved = rows.take(np.flatnonzero(full), _next_capacity(K, cap))
-                    K2 = moved.capacity
-                    tiers[K2] = tiers[K2].merge(moved) if K2 in tiers else moved
-                rows = rows.take(np.flatnonzero(rows.live & ~full))
-            elif 2 * rows.n_live < len(rows):
-                rows = rows.take(np.flatnonzero(rows.live))
-            if len(rows):  # K was popped above, and rows only move up
-                tiers[K] = rows
+    """Advance one group, one step at a time, until every row has retired."""
+    _retire(rows, threshold, cap, results)
+    step = 0
+    while rows.n_live:
+        _step(rows, dictionary, threshold, cap, results, steps)
+        step += 1
+        # Retired rows are dropped when the capacity grows, or once they are
+        # the majority; until then the group still computes them. On the
+        # benchmark's mixed image they are 2.4-2.7% of the rows computed
+        # (0-18% on the other images). Copying the group whenever a row
+        # retires ran at 0.84x on mixed and 0.93x on texture (L = 8 tiles),
+        # and swap-with-last removal saved only 3 lines of bookkeeping.
+        if step >= rows.capacity:
+            # A row holds at most ``step`` atoms, so growing now keeps every
+            # row below capacity. At the cap the capacity stays, and this
+            # drops the rows that retired full before ``_accept`` runs again.
+            rows = rows.take(np.flatnonzero(rows.live), _next_capacity(rows.capacity, cap))
+        elif 2 * rows.n_live < len(rows):
+            rows = rows.take(np.flatnonzero(rows.live))
 
 
-def _step(rows: _Rows, dictionary, threshold: float, results: list, steps) -> None:
-    """One atom for every live row of a tier."""
+def _step(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
+    """One attempt for every live row of the group."""
     pos, top, mag = _select(rows, dictionary)
     if np.minimum.reduce(top) <= 0.0:
         live = rows.live
@@ -508,12 +483,14 @@ def _step(rows: _Rows, dictionary, threshold: float, results: list, steps) -> No
     if steps is not None:
         a = np.flatnonzero(accepted)
         steps.append((rows.ids[a], rows.k[a], flat[a], mag[a, pos[a]], rows.sse[a]))
-    _retire(rows, threshold, results)
+    _retire(rows, threshold, cap, results)
 
 
-def _retire(rows: _Rows, threshold: float, results: list) -> None:
-    """Retire the live rows that met the threshold."""
+def _retire(rows: _Rows, threshold: float, cap: int, results: list) -> None:
+    """Retire the live rows that met the threshold or hold ``cap`` atoms."""
     done = rows.sse <= threshold
+    if rows.capacity >= cap:  # below the cap no row can hold it
+        done |= rows.k == cap
     done &= rows.live
     if np.count_nonzero(done):
         _finish(rows, np.flatnonzero(done), results)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import sparseimg
-from sparseimg import psnr, read_pgm, write_pgm
+from sparseimg import DictionaryKind, EncodedImage, SparseBlock, psnr, read_pgm, write_pgm
+from sparseimg.codec import serialize
 from sparseimg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 from conftest import synthetic_image
@@ -98,13 +99,18 @@ class TestEncodeCommand:
         assert "256" in err and "65535" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("method, block", [("omp_linear", "4"), ("omp_cubic", "10")])
-    def test_block_below_the_widest_support_is_usage_error(self, pgm_path, capsys, method, block):
-        # one below the widest spline support of each family (5 and 11)
+    @pytest.mark.parametrize(
+        "method, block, support",
+        [("omp_linear", "4", 5), ("omp_cubic", "10", 11), ("omp_cubic", "4", 11)],
+        ids=["omp_linear-4", "omp_cubic-10", "omp_cubic-4"],
+    )
+    def test_block_below_the_widest_support_is_usage_error(self, pgm_path, capsys, method, block, support):
+        # the message names the widest spline support of the family, not the
+        # first one that does not fit
         code = run(["encode", "--method", method, "--block", block, str(pgm_path)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "support" in err
+        assert f"support {support}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -177,6 +183,30 @@ class TestDecodeCommand:
         assert code == EXIT_OK
         assert "psnr=" not in capsys.readouterr().out
         assert (tmp_path / "img.pgm").exists()
+
+    @pytest.mark.parametrize("out", [None, "img.pgm"])
+    def test_output_onto_the_original_is_refused(self, tmp_path, pgm_path, capsys, out):
+        assert run(["encode", "--method", "omp_linear", "--psnr", "35", str(pgm_path)]) == EXIT_OK
+        capsys.readouterr()
+        original = pgm_path.read_bytes()
+        extra = [] if out is None else ["--out", str(tmp_path / out)]
+        code = run(["decode", str(tmp_path / "img.sic"), *extra, "--orig", str(pgm_path)])
+        assert code == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert pgm_path.read_bytes() == original
+
+    @pytest.mark.parametrize("block, n_base", [(2, 0), (16, 85)])
+    def test_impossible_container_is_io_error(self, tmp_path, capsys, block, n_base):
+        # both headers parse, but no dictionary has that block or atom count
+        grid = (32 // block) ** 2
+        enc = EncodedImage(32, 32, block, DictionaryKind.DCT2_LINEAR, n_base, 40.0, [SparseBlock()] * grid)
+        sic = tmp_path / "bad.sic"
+        sic.write_bytes(serialize(enc))
+        code = run(["decode", str(sic)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"sparseimg: {sic}: ")
+        assert "Traceback" not in err
 
     def test_corrupt_container_is_io_error(self, tmp_path, pgm_path, capsys):
         run(["encode", "--method", "omp_linear", str(pgm_path)])

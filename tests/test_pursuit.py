@@ -117,6 +117,50 @@ class TestTieWindow:
                     assert [address for address, _ in block.entries] == [0]
 
 
+class TestMaskedRowsInAGroup:
+    @staticmethod
+    def masking_case(pairs):
+        # u and 1000 u span one direction: once u is accepted, rounding dust
+        # along u times 1000 outweighs the tiny tails, so 1000 u is picked
+        # and masked, and the row falls a step behind the rows that did not.
+        # With two such pairs, rows fall behind by 0, 1 or 2 steps.
+        dim = 24
+        columns = []
+        for p in range(pairs):
+            u = np.zeros(dim)
+            u[2 * p : 2 * p + 2] = 1 / np.sqrt(2)
+            columns += [u, 1000 * u]
+        md = MatrixDictionary(np.column_stack(columns + list(np.eye(dim)[2 * pairs :])))
+        rng = np.random.default_rng(0)
+        signals = np.zeros((40, dim))
+        signals[:, : 2 * pairs] = rng.normal(size=(40, 2 * pairs))
+        tails = rng.normal(size=(40, dim - 2 * pairs)) * np.logspace(-22, -14, 40)[:, None]
+        signals[:, 2 * pairs :] = tails
+        return md, signals
+
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_masking_happens(self, pairs):
+        md, signals = self.masking_case(pairs)
+        state = PursuitState(signals[0], capacity=7)
+        while state.k < 7:
+            orthogonalize_and_update(state, md, select_atom(state, md))
+        assert len(state.masked) == pairs
+
+    # cap 7 is the first capacity itself; 9 and 17 cross the capacity steps
+    # 8 and 16 while masked rows lag behind the others
+    @pytest.mark.parametrize("pairs", [1, 2])
+    @pytest.mark.parametrize("cap", [7, 9, 17])
+    def test_grouped_rows_equal_their_pursuit_alone(self, cap, pairs):
+        md, signals = self.masking_case(pairs)
+        rule = StoppingRule("max_atoms", atom_cap=cap)
+        for (block, norm), signal in zip(pursue(signals, md, rule), signals):
+            alone, alone_norm = run_omp(signal, md, rule)
+            assert [a for a, _ in block.entries] == [a for a, _ in alone.entries]
+            coeffs = np.array([c for _, c in block.entries])
+            assert coeffs.tobytes() == np.array([c for _, c in alone.entries]).tobytes()
+            assert norm == alone_norm
+
+
 class TestOrthogonalizeAndUpdate:
     def test_first_iteration_uses_atom_directly(self):
         md = toy_dictionary()
@@ -275,8 +319,9 @@ class TestRunOmp:
     def test_max_atoms_mode_stops_at_cap(self, dict2_linear16):
         rng = np.random.default_rng(0)
         f = rng.normal(size=(16, 16))
-        block, _ = run_omp(f, dict2_linear16, StoppingRule("max_atoms", atom_cap=7))
-        assert len(block) == 7
+        for cap in (0, 7):
+            block, _ = run_omp(f, dict2_linear16, StoppingRule("max_atoms", atom_cap=cap))
+            assert len(block) == cap
 
     def test_approximation_equals_projection(self):
         rng = np.random.default_rng(23)
