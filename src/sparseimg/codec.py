@@ -355,6 +355,13 @@ def serialize(enc: EncodedImage) -> bytes:
             )
         buf.write(_COUNT.pack(len(sparse.entries)))
         for (i, j), coeff in sparse.entries:
+            # such an address would read back as another atom; i >= n_base
+            # reads back out of range, which deserialize rejects
+            if i < 0 or not 0 <= j < enc.n_base:
+                raise ValueError(
+                    f"block {divmod(n, enc.grid[1])} holds address {(i, j)}, "
+                    f"which has no flat index with n_base {enc.n_base}"
+                )
             buf.write(_ENTRY.pack(i * enc.n_base + j, coeff))
     return buf.getvalue()
 
@@ -368,6 +375,9 @@ def deserialize(data: bytes) -> EncodedImage:
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}", 4)
     kind = DictionaryKind.from_wire_code(code)
+    if block > MAX_BLOCK:
+        # no encoder can write it, and decoding would build a dictionary for it
+        raise ContainerError(f"block size {block} exceeds {MAX_BLOCK}", 14)
     if block == 0 or width % block or height % block:
         raise ContainerError(f"block size {block} does not tile {width}x{height}", 14)
     n_blocks = (width // block) * (height // block)

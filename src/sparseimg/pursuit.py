@@ -24,10 +24,10 @@ depends on the group it is pursued in: every reduction runs over
 dimensions fixed by the dictionary or by the capacity, which steps through
 ``8, 16, 32, ...`` as the group's step count reaches it, just as it would
 for the row alone (BLAS dot products change with zero padding, so a width
-set by the group would not do). A row holds at most as many atoms as steps
-taken, and rows that hold the cap are dropped at once, so no row is full
-when an atom is accepted. Other rows that finish are retired and the
-arrays compacted lazily.
+set by the group would not do). Rows that finish are retired and the
+arrays compacted lazily. Retired rows are scratch; live rows stay below
+capacity, since a row holds at most as many atoms as steps taken and a row
+retires when it holds the cap.
 :func:`run_omp` and the stepwise API (:class:`PursuitState`,
 :func:`select_atom`, :func:`orthogonalize_and_update`) are the same core
 on a group of one.
@@ -136,8 +136,8 @@ class _Rows:
     coefficients, the residual and its SSE, and ``A^T f`` over every atom
     once the row has accepted one. ``masked`` holds the candidate
     positions each row masked as dependent, padded with -1; ``live`` is false
-    for retired rows, which are dropped at the next compaction, and
-    ``n_live`` counts the others.
+    for retired rows, whose slots are scratch until the next compaction drops
+    them, and ``n_live`` counts the others.
     """
 
     def __init__(self, ids: np.ndarray, target: np.ndarray, capacity: int):
@@ -154,60 +154,36 @@ class _Rows:
         self.sse = _row_sse(self.residual)
         self.masked = np.full((rows, 0), -1, dtype=np.intp)
         self.target_corr = None
-        self._index()
-
-    def _index(self) -> None:
-        """Row indices and liveness of freshly assembled rows."""
-        self.row = np.arange(len(self.ids))
+        self.row = np.arange(rows)
         self.column = self.row[:, None]
-        self.row_start = self.row * self.capacity
-        self.live = np.ones(len(self.ids), dtype=bool)
-        self.n_live = len(self.ids)
+        self.row_start = self.row * K
+        self.live = np.ones(rows, dtype=bool)
+        self.n_live = rows
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, rows: np.ndarray, capacity: int | None = None) -> "_Rows":
-        """The live rows ``rows``, moved to ``capacity`` (default: this one)."""
+    def take(self, rows: np.ndarray, capacity: int) -> "_Rows":
+        """The rows ``rows``, moved to ``capacity`` (at least this one)."""
         K = self.capacity
-        K2 = K if capacity is None else capacity
-        out = object.__new__(_Rows)
-        out.ids = self.ids[rows]
-        out.target = self.target[rows]
-        out.capacity = K2
+        out = _Rows(self.ids[rows], self.target[rows], capacity)
         out.k = self.k[rows]
         out.residual = self.residual[rows]
         out.sse = self.sse[rows]
         out.masked = self.masked[rows]
         out.target_corr = None if self.target_corr is None else self.target_corr[rows]
-        if K2 == K:
-            out.flats = self.flats[rows]
-            out.positions = self.positions[rows]
-            out.factor = self.factor[rows]
-            out.coeffs = self.coeffs[rows]
-        else:
-            n = len(out.ids)
-            out.flats = np.zeros((n, K2), dtype=np.intp)
-            out.flats[:, :K] = self.flats[rows]
-            out.positions = np.full((n, K2), -1, dtype=np.intp)
-            out.positions[:, :K] = self.positions[rows]
-            out.factor = np.zeros((n, K2, K2 + 2))
-            out.factor[:, :K, :K] = self.factor[rows, :, :K]
-            out.factor[:, :K, K2] = self.factor[rows, :, K]
-            out.coeffs = np.zeros((n, K2))
-            out.coeffs[:, :K] = self.coeffs[rows]
-        out._index()
+        out.flats[:, :K] = self.flats[rows]
+        out.positions[:, :K] = self.positions[rows]
+        out.factor[:, :K, :K] = self.factor[rows, :, :K]
+        out.factor[:, :K, capacity] = self.factor[rows, :, K]
+        out.coeffs[:, :K] = self.coeffs[rows]
         return out
 
     def mask(self, rows: np.ndarray, positions: np.ndarray) -> None:
         """Record candidate ``positions[r]`` as masked for each row in ``rows``."""
-        held = (self.masked >= 0).sum(axis=1)
-        width = int(held[rows].max()) + 1
-        if width > self.masked.shape[1]:
-            wider = np.full((len(self), max(width, 2 * self.masked.shape[1])), -1, dtype=np.intp)
-            wider[:, : self.masked.shape[1]] = self.masked
-            self.masked = wider
-        self.masked[rows, held[rows]] = positions[rows]
+        column = np.full((len(self), 1), -1, dtype=np.intp)
+        column[rows, 0] = positions[rows]
+        self.masked = np.concatenate((self.masked, column), axis=1)
 
 
 def _select(rows: _Rows, dictionary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,11 +210,11 @@ def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.n
     many, and leaves ``k`` unchanged in the others.
 
     Every row is computed; rows that do not accept get zero updates, which
-    leave their state as it was. No row, retired or live, may be full
-    (``k == capacity``): slot ``k`` is written at ``row_start + k``, which
-    for a full row is slot 0 of the next row."""
+    leave their state as it was. Retired rows are scratch; live rows stay
+    below capacity. A retired row may be full, so the write slot is clipped
+    to the row's own last slot, which nothing reads again."""
     K = rows.capacity
-    r, k = rows.row, rows.k
+    r, k = rows.row, np.minimum(rows.k, K - 1)
     at = rows.row_start + k  # flat index of each row's slot k in a (rows, K) array
     rows.flats.put(at, flat)
     rows.positions.put(at, pos)  # excluded from now on, as selected or as masked
@@ -453,13 +429,12 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
         # (0-18% on the other images). Copying the group whenever a row
         # retires ran at 0.84x on mixed and 0.93x on texture (L = 8 tiles),
         # and swap-with-last removal saved only 3 lines of bookkeeping.
-        if step >= rows.capacity:
+        if rows.capacity <= step < cap:
             # A row holds at most ``step`` atoms, so growing now keeps every
-            # row below capacity. At the cap the capacity stays, and this
-            # drops the rows that retired full before ``_accept`` runs again.
+            # live row below capacity.
             rows = rows.take(np.flatnonzero(rows.live), _next_capacity(rows.capacity, cap))
         elif 2 * rows.n_live < len(rows):
-            rows = rows.take(np.flatnonzero(rows.live))
+            rows = rows.take(np.flatnonzero(rows.live), rows.capacity)
 
 
 def _step(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:

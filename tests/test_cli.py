@@ -208,6 +208,16 @@ class TestDecodeCommand:
         assert err.startswith(f"sparseimg: {sic}: ")
         assert "Traceback" not in err
 
+    def test_block_above_the_container_limit_is_io_error(self, tmp_path, capsys):
+        enc = EncodedImage(256, 256, 256, DictionaryKind.DCT2_LINEAR, 86, 40.0, [SparseBlock()])
+        sic = tmp_path / "bad.sic"
+        sic.write_bytes(serialize(enc))
+        code = run(["decode", str(sic)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "block size 256 exceeds 255" in err
+        assert "Traceback" not in err
+
     def test_corrupt_container_is_io_error(self, tmp_path, pgm_path, capsys):
         run(["encode", "--method", "omp_linear", str(pgm_path)])
         sic = tmp_path / "img.sic"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,38 @@ class TestContainer:
         )
         with pytest.raises(ContainerError, match="address"):
             deserialize(serialize(enc))
+
+    def test_block_above_the_limit_is_rejected(self):
+        # a 31-byte container whose one block would need a 65535-long dictionary
+        enc = EncodedImage(
+            width=65535,
+            height=65535,
+            block_size=65535,
+            kind=DictionaryKind.DCT2_LINEAR,
+            n_base=86,
+            target_psnr=40.0,
+            blocks=[SparseBlock()],
+        )
+        payload = serialize(enc)
+        assert len(payload) == 31
+        with pytest.raises(ContainerError, match="block size 65535 exceeds 255") as excinfo:
+            deserialize(payload)
+        assert excinfo.value.offset == 14
+
+    @pytest.mark.parametrize("address", [(0, 90), (1, 86), (0, -1), (-1, 5)])
+    def test_address_that_would_read_back_as_another_atom(self, address):
+        # with n_base 86, (0, 90) would be written as flat 90 and read back as (1, 4)
+        enc = EncodedImage(
+            width=32,
+            height=16,
+            block_size=16,
+            kind=DictionaryKind.DCT2_LINEAR,
+            n_base=86,
+            target_psnr=40.0,
+            blocks=[SparseBlock(), SparseBlock(entries=[((0, 0), 1.0), (address, 2.0)])],
+        )
+        with pytest.raises(ValueError, match=re.escape(f"block (0, 1) holds address {address}")):
+            serialize(enc)
 
     def test_block_count_must_match_the_grid(self):
         # a 32x32 image at L = 16 has four blocks
