@@ -1,7 +1,8 @@
 """Command-line front end: encode, decode, and report tabulation.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 I/O error,
-3 numerical failure.
+A failure on a file prints one line, ``sparseimg: <file>: <reason>``. Exit
+codes: 0 success, 1 usage/configuration error, 2 I/O error or malformed
+input, 3 pursuit exhausted.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import baselines, codec
@@ -41,8 +43,24 @@ REFERENCE_CR_40DB = {
 _REFERENCE_ALIASES = {"mandrill": "mandril", "baboon": "mandril"}
 
 
-class UsageError(Exception):
-    pass
+class CliError(Exception):
+    """A failure that :func:`main` prints as one line, exiting with ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _file_errors(path):
+    """Report a failure on ``path`` (or on the file an OSError names) as a CliError."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        name = getattr(exc, "filename", None) or path
+        raise CliError(f"{name}: {getattr(exc, 'strerror', None) or exc}", EXIT_IO) from exc
+    except PursuitExhaustedError as exc:
+        raise CliError(f"{path}: pursuit exhausted: {exc}", EXIT_NUMERIC) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,15 +141,15 @@ def _encode_one_baseline(path: Path, img: codec.ImageGray8, args):
 
 def cmd_encode(args) -> int:
     if not args.psnr > 0:
-        raise UsageError(f"--psnr must be positive, got {args.psnr}")
+        raise CliError(f"--psnr must be positive, got {args.psnr}")
     if args.block < 1:
-        raise UsageError(f"--block must be positive, got {args.block}")
+        raise CliError(f"--block must be positive, got {args.block}")
     if args.levels < 1:
-        raise UsageError(f"--levels must be >= 1, got {args.levels}")
+        raise CliError(f"--levels must be >= 1, got {args.levels}")
     dict2d = None
     if args.method in OMP_METHODS:
         if args.block > codec.MAX_BLOCK:
-            raise UsageError(
+            raise CliError(
                 f"block size {args.block} exceeds {codec.MAX_BLOCK}: a container block "
                 f"holds at most {codec.MAX_ENTRIES} entries"
             )
@@ -139,22 +157,17 @@ def cmd_encode(args) -> int:
         try:
             dict2d = Dictionary2D(assemble_dictionary(OMP_METHODS[args.method], args.block))
         except ValueError as exc:
-            raise UsageError(f"--block {args.block} is too small for {args.method}: {exc}") from exc
+            raise CliError(f"--block {args.block} is too small for {args.method}: {exc}") from exc
     for path in map(Path, args.inputs):
-        try:
+        with _file_errors(path):
             img = codec.read_pgm(path)
             if dict2d is not None:
                 report, out_path = _encode_one_omp(path, img, args, dict2d)
             else:
                 report, out_path = _encode_one_baseline(path, img, args)
-        except (OSError, ValueError) as exc:
-            print(f"sparseimg: {path}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except PursuitExhaustedError as exc:
-            print(f"sparseimg: {path}: pursuit exhausted: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
         if args.report:
-            codec.append_report(args.report, report)
+            with _file_errors(args.report):
+                codec.append_report(args.report, report)
         made = f" -> {out_path}" if out_path is not None else ""
         print(
             f"{path}: {args.method} atoms={report.total_atoms} "
@@ -167,30 +180,24 @@ def cmd_decode(args) -> int:
     container = Path(args.container)
     out_path = Path(args.out) if args.out else container.with_suffix(".pgm")
     if args.orig and out_path.resolve() == Path(args.orig).resolve():
-        raise UsageError(f"the output {out_path} is the --orig image; name another with --out")
-    try:
+        raise CliError(f"the output {out_path} is the --orig image; name another with --out")
+    with _file_errors(container):
         enc = codec.read_sic(container)
         # a parseable header may still name a block or an atom count that
         # no dictionary has
         dict2d = Dictionary2D(assemble_dictionary(enc.kind, enc.block_size))
         image = codec.decode(enc, dict2d)
-    except (OSError, ValueError) as exc:
-        print(f"sparseimg: {container}: {exc}", file=sys.stderr)
-        return EXIT_IO
     pixels = codec.clamp_to_u8(image)
-    try:
+    # --orig is checked before the output is written, so a bad original leaves none
+    if args.orig:
+        with _file_errors(args.orig):
+            original = codec.read_pgm(args.orig)
+            psnrs = f"psnr_u8={codec.psnr(original, pixels):.2f} psnr={codec.psnr(original, image):.2f}"
+    with _file_errors(out_path):
         codec.write_pgm(out_path, pixels)
-    except OSError as exc:
-        print(f"sparseimg: {out_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"{container} -> {out_path} ({enc.width}x{enc.height}, {enc.kind.value})")
     if args.orig:
-        try:
-            original = codec.read_pgm(args.orig)
-        except (OSError, ValueError) as exc:
-            print(f"sparseimg: {args.orig}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"psnr_u8={codec.psnr(original, pixels):.2f} psnr={codec.psnr(original, image):.2f}")
+        print(psnrs)
     return EXIT_OK
 
 
@@ -199,33 +206,26 @@ def _merge_reports(paths) -> tuple[list[str], dict[str, dict[str, float]], float
     table: dict[str, dict[str, float]] = {}
     target: float | None = None
     for path in paths:
-        for row in codec.read_report(path):
-            row_target = float(row["psnr_target"])
-            if target is None:
-                target = row_target
-            elif row_target != target:
-                raise UsageError(
-                    f"{path}: PSNR target {row_target} differs from {target}; "
-                    "reports must share one target"
-                )
-            name = row["image"]
-            if name not in table:
-                images.append(name)
-                table[name] = {}
-            table[name][_METHOD_OF_KIND.get(row["dictionary"], row["dictionary"])] = float(row["cr"])
+        with _file_errors(path):
+            for row in codec.read_report(path):
+                row_target = float(row["psnr_target"])
+                if target is None:
+                    target = row_target
+                elif row_target != target:
+                    raise CliError(
+                        f"{path}: PSNR target {row_target} differs from {target}; "
+                        "reports must share one target"
+                    )
+                name = row["image"]
+                if name not in table:
+                    images.append(name)
+                    table[name] = {}
+                table[name][_METHOD_OF_KIND.get(row["dictionary"], row["dictionary"])] = float(row["cr"])
     return images, table, target if target is not None else 0.0
 
 
 def cmd_table(args) -> int:
-    try:
-        images, table, target = _merge_reports(args.reports)
-    except UsageError as exc:
-        print(f"sparseimg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"sparseimg: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    images, table, target = _merge_reports(args.reports)
     methods = [m for m in METHODS if any(m in row for row in table.values())]
     width = max([len("image")] + [len(name) for name in images])
     header = ["image".ljust(width)] + [m.rjust(10) for m in methods]
@@ -239,7 +239,7 @@ def cmd_table(args) -> int:
         print("  ".join(cells))
 
     if args.csv:
-        with open(args.csv, "w", newline="") as f:
+        with _file_errors(args.csv), open(args.csv, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["image"] + methods)
             for name in images:
@@ -273,9 +273,9 @@ def main(argv=None) -> int:
         if args.command == "decode":
             return cmd_decode(args)
         return cmd_table(args)
-    except UsageError as exc:
+    except CliError as exc:
         print(f"sparseimg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ Container format (".sic", little-endian)::
     blocks    row-major; per block: u16 entry count,
               then entries of (u32 flat address, f64 coefficient)
 
-Coefficients are stored unquantized; the reported compression ratio is the
-pure sparsity ratio pixels / retained atoms.
+Coefficients are stored unquantized, and within +-MAX_COEFF; the reported
+compression ratio is the pure sparsity ratio pixels / retained atoms.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ _ENTRY = struct.Struct("<Id")
 # to L * L atoms, so L may not exceed isqrt(MAX_ENTRIES).
 MAX_ENTRIES = 65535
 MAX_BLOCK = math.isqrt(MAX_ENTRIES)
+# A block sums at most MAX_ENTRIES atoms whose values lie in [-1, 1], so no
+# decode of coefficients within +-MAX_COEFF overflows (or meets a nan).
+MAX_COEFF = 1e300
 
 PEAK = 255.0
 
@@ -72,6 +75,10 @@ class ImageGray8:
     width: int
     height: int
     pixels: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.pixels.size == 0:
+            raise ValueError(f"image {self.width}x{self.height} has no pixels")
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "ImageGray8":
@@ -109,19 +116,19 @@ def read_pgm(path) -> ImageGray8:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
+            raise ValueError("truncated PGM header")
         return data[start:pos]
 
     magic = token()
     if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (P5) file, magic {magic!r}")
+        raise ValueError(f"not a binary PGM (P5) file, magic {magic!r}")
     width, height, maxval = (int(token()) for _ in range(3))
     if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
+        raise ValueError(f"only 8-bit PGM supported, maxval {maxval}")
     pos += 1  # single whitespace after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
-        raise ValueError(f"{path}: raster truncated ({len(raster)} of {width * height} bytes)")
+        raise ValueError(f"raster truncated ({len(raster)} of {width * height} bytes)")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
     return ImageGray8(width=width, height=height, pixels=pixels)
 
@@ -238,11 +245,15 @@ def append_report(path, report: SparsityReport) -> None:
 
 
 def read_report(path) -> list[dict[str, str]]:
+    """Rows of a report CSV; each must have every column of REPORT_COLUMNS."""
     with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
+        try:
+            rows = list(csv.DictReader(f))
+        except csv.Error as exc:
+            raise ValueError(f"not a sparsity report CSV: {exc}") from exc
     for row in rows:
-        if row.get("image") is None or row.get("cr") is None:
-            raise ValueError(f"{path}: not a sparsity report CSV")
+        if any(row.get(column) is None for column in REPORT_COLUMNS):
+            raise ValueError("not a sparsity report CSV")
     return rows
 
 
@@ -355,12 +366,17 @@ def serialize(enc: EncodedImage) -> bytes:
             )
         buf.write(_COUNT.pack(len(sparse.entries)))
         for (i, j), coeff in sparse.entries:
-            # such an address would read back as another atom; i >= n_base
-            # reads back out of range, which deserialize rejects
-            if i < 0 or not 0 <= j < enc.n_base:
+            # off the n_base x n_base grid, an address would read back as
+            # another atom or out of range
+            if not (0 <= i < enc.n_base and 0 <= j < enc.n_base):
                 raise ValueError(
                     f"block {divmod(n, enc.grid[1])} holds address {(i, j)}, "
                     f"which has no flat index with n_base {enc.n_base}"
+                )
+            if not -MAX_COEFF <= coeff <= MAX_COEFF:
+                raise ValueError(
+                    f"block {divmod(n, enc.grid[1])} holds coefficient {coeff}, "
+                    f"outside +-{MAX_COEFF:g}"
                 )
             buf.write(_ENTRY.pack(i * enc.n_base + j, coeff))
     return buf.getvalue()
@@ -397,6 +413,8 @@ def deserialize(data: bytes) -> EncodedImage:
             pos += _ENTRY.size
             if flat >= n_base * n_base:
                 raise ContainerError(f"atom address {flat} out of range", pos - _ENTRY.size)
+            if not -MAX_COEFF <= coeff <= MAX_COEFF:
+                raise ContainerError(f"coefficient {coeff} out of range", pos - _ENTRY.size + 4)
             entries.append(((flat // n_base, flat % n_base), coeff))
         blocks.append(SparseBlock(entries=entries))
     if pos != len(data):

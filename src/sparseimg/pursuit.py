@@ -496,13 +496,8 @@ def run_omp(
     maximum of exactly zero stops the pursuit instead, since no further
     progress is possible.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != dictionary.signal_shape:
-        raise ValueError(
-            f"signal shape {signal.shape} does not match dictionary {dictionary.signal_shape}"
-        )
     rows: list | None = [] if trace is not None else None
-    (result,) = pursue(signal[None], dictionary, rule, trace=rows)
+    (result,) = pursue(np.asarray(signal)[None], dictionary, rule, trace=rows)
     if trace is not None:
         trace.extend(row[1:] for row in rows)
     return result

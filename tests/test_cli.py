@@ -28,6 +28,12 @@ def run(argv):
         return exc.code
 
 
+def assert_one_error_line(err, path):
+    """``err`` is the one line ``sparseimg: <path>: <reason>``, naming ``path`` once."""
+    assert err.startswith(f"sparseimg: {path}: ") and err.count("\n") == 1, err
+    assert err.count(str(path)) == 1, err
+
+
 class TestEncodeCommand:
     def test_happy_path_writes_container_and_report(self, tmp_path, pgm_path, capsys):
         report = tmp_path / "report.csv"
@@ -139,6 +145,24 @@ class TestEncodeCommand:
         assert code == EXIT_IO
         assert "divisible" in capsys.readouterr().err
 
+    def test_report_in_a_missing_directory_is_io_error(self, tmp_path, pgm_path, capsys):
+        report = tmp_path / "nodir" / "r.csv"
+        assert run(["encode", "--method", "dct", "--report", str(report), str(pgm_path)]) == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, report)
+
+    def test_wrong_magic_names_the_file_once(self, tmp_path, capsys):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+        assert run(["encode", str(path)]) == EXIT_IO
+        assert capsys.readouterr().err == f"sparseimg: {path}: not a binary PGM (P5) file, magic b'P6'\n"
+
+    @pytest.mark.parametrize("method", ["omp_linear", "dct"])
+    def test_image_without_pixels_is_io_error(self, tmp_path, capsys, method):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"P5\n0 16\n255\n")
+        assert run(["encode", "--method", method, str(path)]) == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, path)
+
     def test_unknown_method_is_usage_error(self, pgm_path):
         assert run(["encode", "--method", "magic", str(pgm_path)]) == EXIT_USAGE
 
@@ -218,6 +242,21 @@ class TestDecodeCommand:
         assert "block size 256 exceeds 255" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("orig", ["missing", "malformed", "16x16"])
+    def test_bad_original_writes_nothing(self, tmp_path, pgm_path, capsys, orig):
+        assert run(["encode", "--method", "omp_linear", "--psnr", "35", str(pgm_path)]) == EXIT_OK
+        capsys.readouterr()
+        original = tmp_path / "orig.pgm"
+        if orig == "malformed":
+            original.write_bytes(b"P5\n32 32\n255\n" + bytes(7))
+        elif orig == "16x16":
+            write_pgm(original, synthetic_image(16, 16))
+        out = tmp_path / "out.pgm"
+        code = run(["decode", str(tmp_path / "img.sic"), "--out", str(out), "--orig", str(original)])
+        assert code == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, original)
+        assert not out.exists()
+
     def test_corrupt_container_is_io_error(self, tmp_path, pgm_path, capsys):
         run(["encode", "--method", "omp_linear", str(pgm_path)])
         sic = tmp_path / "img.sic"
@@ -286,6 +325,26 @@ class TestTableCommand:
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
         assert run(["table", str(path)]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "image,cr\nlena,6.5\n",
+            "image,dictionary,atoms,cr,psnr_target,psnr_achieved\n" + "x" * 131073 + ",dct,1,1.0,40.0,40.0\n",
+        ],
+        ids=["two-columns", "long-field"],
+    )
+    def test_half_a_report_is_io_error(self, tmp_path, capsys, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        assert run(["table", str(path)]) == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, path)
+
+    def test_csv_in_a_missing_directory_is_io_error(self, tmp_path, capsys):
+        r1 = self._report(tmp_path, [("lena", "dct", 40330, 6.5, 40.0, 40.0)])
+        merged = tmp_path / "nodir" / "t.csv"
+        assert run(["table", str(r1), "--csv", str(merged)]) == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, merged)
 
 
 class TestUsage:

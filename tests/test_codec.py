@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -222,18 +223,25 @@ class TestContainer:
         with pytest.raises(ContainerError, match="trailing"):
             deserialize(serialize(enc) + b"\x00")
 
-    def test_address_out_of_range(self, dict2_linear16):
-        enc = EncodedImage(
-            width=16,
-            height=16,
-            block_size=16,
-            kind=DictionaryKind.DCT2_LINEAR,
-            n_base=86,
-            target_psnr=40.0,
-            blocks=[SparseBlock(entries=[((90, 0), 1.0)])],
+    @staticmethod
+    def _one_entry_container(flat, coeff):
+        # serialize refuses to write a bad entry, so the 29-byte header and
+        # the one block of one entry are packed by hand
+        header = struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, 16, 16, 16, DictionaryKind.DCT2_LINEAR.wire_code, 86, 40.0
         )
-        with pytest.raises(ContainerError, match="address"):
-            deserialize(serialize(enc))
+        return header + struct.pack("<HId", 1, flat, coeff)
+
+    def test_address_out_of_range(self):
+        with pytest.raises(ContainerError, match="address 7740 out of range"):
+            deserialize(self._one_entry_container(90 * 86, 1.0))
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -1e301])
+    def test_coefficient_out_of_range(self, coeff):
+        # such a coefficient would decode to nan or overflow
+        with pytest.raises(ContainerError, match="coefficient") as excinfo:
+            deserialize(self._one_entry_container(0, coeff))
+        assert excinfo.value.offset == 35
 
     def test_block_above_the_limit_is_rejected(self):
         # a 31-byte container whose one block would need a 65535-long dictionary
@@ -252,7 +260,7 @@ class TestContainer:
             deserialize(payload)
         assert excinfo.value.offset == 14
 
-    @pytest.mark.parametrize("address", [(0, 90), (1, 86), (0, -1), (-1, 5)])
+    @pytest.mark.parametrize("address", [(0, 90), (1, 86), (0, -1), (-1, 5), (86, 0), (90, 0)])
     def test_address_that_would_read_back_as_another_atom(self, address):
         # with n_base 86, (0, 90) would be written as flat 90 and read back as (1, 4)
         enc = EncodedImage(
@@ -265,6 +273,20 @@ class TestContainer:
             blocks=[SparseBlock(), SparseBlock(entries=[((0, 0), 1.0), (address, 2.0)])],
         )
         with pytest.raises(ValueError, match=re.escape(f"block (0, 1) holds address {address}")):
+            serialize(enc)
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -1e301])
+    def test_coefficient_that_would_not_read_back(self, coeff):
+        enc = EncodedImage(
+            width=16,
+            height=16,
+            block_size=16,
+            kind=DictionaryKind.DCT2_LINEAR,
+            n_base=86,
+            target_psnr=40.0,
+            blocks=[SparseBlock(entries=[((0, 0), coeff)])],
+        )
+        with pytest.raises(ValueError, match=re.escape(f"block (0, 0) holds coefficient {coeff}")):
             serialize(enc)
 
     def test_block_count_must_match_the_grid(self):
@@ -377,6 +399,11 @@ class TestImageGray8:
     def test_from_array_validates_dtype(self):
         with pytest.raises(ValueError, match="8-bit"):
             ImageGray8.from_array(np.zeros((4, 4), np.float64))
+
+    @pytest.mark.parametrize("shape", [(0, 16), (16, 0)])
+    def test_no_pixels_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="no pixels"):
+            ImageGray8.from_array(np.zeros(shape, np.uint8))
 
     def test_from_array_accepts_small_ints(self):
         img = ImageGray8.from_array(np.arange(16, dtype=np.int64).reshape(4, 4))
