@@ -79,6 +79,8 @@ class ImageGray8:
     def __post_init__(self) -> None:
         if self.pixels.size == 0:
             raise ValueError(f"image {self.width}x{self.height} has no pixels")
+        if self.pixels.shape != (self.height, self.width):
+            raise ValueError(f"pixels of shape {self.pixels.shape} for a {self.width}x{self.height} image")
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "ImageGray8":
@@ -123,6 +125,8 @@ def read_pgm(path) -> ImageGray8:
     if magic != b"P5":
         raise ValueError(f"not a binary PGM (P5) file, magic {magic!r}")
     width, height, maxval = (int(token()) for _ in range(3))
+    if width < 0 or height < 0:
+        raise ValueError(f"negative image dimensions {width}x{height}")
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, maxval {maxval}")
     pos += 1  # single whitespace after maxval
@@ -390,6 +394,10 @@ def deserialize(data: bytes) -> EncodedImage:
         raise ContainerError(f"bad magic {magic!r}", 0)
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}", 4)
+    if width == 0:
+        raise ContainerError("image width 0", 6)
+    if height == 0:
+        raise ContainerError("image height 0", 10)
     kind = DictionaryKind.from_wire_code(code)
     if block > MAX_BLOCK:
         # no encoder can write it, and decoding would build a dictionary for it

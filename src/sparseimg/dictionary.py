@@ -276,7 +276,8 @@ class Dictionary2D:
     The pursuit methods (``correlate``, ``analyze``, ``gram``,
     ``synthesize``) work on stacks of signals or atom lists, one per
     leading index, and compute each entry of the stack the same way whatever
-    the stack holds.
+    the stack holds. ``correlate`` returns a new array, which pursuit
+    overwrites.
     """
 
     def __init__(self, base: Dictionary1D):
@@ -385,6 +386,8 @@ class MatrixDictionary:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("expected a (dim, n_atoms) matrix of atom columns")
+        if matrix.shape[1] == 0:
+            raise ValueError("the matrix has no atom columns")
         self.matrix = matrix
         self._rows = np.ascontiguousarray(matrix.T)
         self.candidates = _readonly(np.arange(matrix.shape[1]))

@@ -27,7 +27,9 @@ for the row alone (BLAS dot products change with zero padding, so a width
 set by the group would not do). Rows that finish are retired and the
 arrays compacted lazily. Retired rows are scratch; live rows stay below
 capacity, since a row holds at most as many atoms as steps taken and a row
-retires when it holds the cap.
+retires when it holds the cap. A row's attempt excludes its candidate from
+then on, accepted or masked, so the candidates a row has tried are the one
+record of what its selection excludes.
 :func:`run_omp` and the stepwise API (:class:`PursuitState`,
 :func:`select_atom`, :func:`orthogonalize_and_update`) are the same core
 on a group of one.
@@ -131,12 +133,12 @@ class _Rows:
     """Row-stacked state of the signals of one group.
 
     Row ``r`` holds ``k[r]`` accepted atoms out of ``capacity``: their flat
-    indices and candidate positions (-1 when not a candidate), the factor
-    ``[L^-1 | z | w]`` (``w`` is scratch for the next acceptance), the
-    coefficients, the residual and its SSE, and ``A^T f`` over every atom
-    once the row has accepted one. ``masked`` holds the candidate
-    positions each row masked as dependent, padded with -1; ``live`` is false
-    for retired rows, whose slots are scratch until the next compaction drops
+    indices, the factor ``[L^-1 | z | w]`` (``w`` is scratch for the next
+    acceptance), the coefficients, the residual and its SSE, and ``A^T f``
+    over every atom once the row has accepted one. ``tried`` holds, one
+    column per step, the candidate position each row attempted, accepted or
+    masked as dependent; selection excludes them all. ``live`` is false for
+    retired rows, whose slots are scratch until the next compaction drops
     them, and ``n_live`` counts the others.
     """
 
@@ -147,12 +149,11 @@ class _Rows:
         self.capacity = K
         self.k = np.zeros(rows, dtype=np.intp)
         self.flats = np.zeros((rows, K), dtype=np.intp)
-        self.positions = np.full((rows, K), -1, dtype=np.intp)
         self.factor = np.zeros((rows, K, K + 2))
         self.coeffs = np.zeros((rows, K))
         self.residual = target.copy()
         self.sse = _row_sse(self.residual)
-        self.masked = np.full((rows, 0), -1, dtype=np.intp)
+        self.tried = np.zeros((rows, 0), dtype=np.intp)
         self.target_corr = None
         self.row = np.arange(rows)
         self.column = self.row[:, None]
@@ -170,44 +171,33 @@ class _Rows:
         out.k = self.k[rows]
         out.residual = self.residual[rows]
         out.sse = self.sse[rows]
-        out.masked = self.masked[rows]
+        out.tried = self.tried[rows]
         out.target_corr = None if self.target_corr is None else self.target_corr[rows]
         out.flats[:, :K] = self.flats[rows]
-        out.positions[:, :K] = self.positions[rows]
         out.factor[:, :K, :K] = self.factor[rows, :, :K]
         out.factor[:, :K, capacity] = self.factor[rows, :, K]
         out.coeffs[:, :K] = self.coeffs[rows]
         return out
 
-    def mask(self, rows: np.ndarray, positions: np.ndarray) -> None:
-        """Record candidate ``positions[r]`` as masked for each row in ``rows``."""
-        column = np.full((len(self), 1), -1, dtype=np.intp)
-        column[rows, 0] = positions[rows]
-        self.masked = np.concatenate((self.masked, column), axis=1)
-
 
 def _select(rows: _Rows, dictionary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's pick: candidate position, largest ``|corr|`` and the
-    magnitudes. Selected and masked atoms are excluded; among the candidates
-    within ``TIE_TOL`` of the maximum the smallest address wins. A maximum of
-    -1 means every candidate is excluded."""
+    magnitudes. Tried candidates are excluded; among the candidates within
+    ``TIE_TOL`` of the maximum the smallest address wins. A maximum of -1
+    means every candidate is excluded."""
     n = len(rows)
     corr = dictionary.correlate(rows.residual.reshape((n,) + dictionary.signal_shape))
-    mag = np.empty((n, corr.shape[1] + 1))
-    np.abs(corr, out=mag[:, :-1])
-    mag[:, -1] = -1.0  # excluded position -1 lands here
-    mag[rows.column, rows.positions] = -1.0
-    if rows.masked.shape[1]:
-        mag[rows.column, rows.masked] = -1.0
+    mag = np.abs(corr, out=corr)  # correlate returns a fresh array each call
+    mag[rows.column, rows.tried] = -1.0
     top = np.maximum.reduce(mag, axis=1)
     pos = (mag >= (top * (1.0 - TIE_TOL))[:, None]).argmax(axis=1)
     return pos, top, mag
 
 
-def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.ndarray) -> tuple[np.ndarray, int]:
-    """Add atom ``flat[r]`` to the factorization of each row with ``go[r]``,
-    unless it depends on the row's span; returns which rows accepted and how
-    many, and leaves ``k`` unchanged in the others.
+def _accept(rows: _Rows, dictionary, flat: np.ndarray) -> np.ndarray:
+    """Add atom ``flat[r]`` to the factorization of each live row, unless it
+    depends on the row's span; returns which rows accepted, and leaves ``k``
+    unchanged in the others.
 
     Every row is computed; rows that do not accept get zero updates, which
     leave their state as it was. Retired rows are scratch; live rows stay
@@ -217,7 +207,6 @@ def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.n
     r, k = rows.row, np.minimum(rows.k, K - 1)
     at = rows.row_start + k  # flat index of each row's slot k in a (rows, K) array
     rows.flats.put(at, flat)
-    rows.positions.put(at, pos)  # excluded from now on, as selected or as masked
     g = dictionary.gram(rows.flats, flat)
     norm2 = g.take(at)
     factor = rows.factor
@@ -226,7 +215,7 @@ def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.n
     # one product gives w^T L^-1, <w, z> and <w, w>
     y = np.matmul(w.transpose(0, 2, 1), factor)[:, 0]
     d2 = norm2 - y[:, K + 1]
-    accepted = go & (d2 > DEP_TOL * norm2)
+    accepted = rows.live & (d2 > DEP_TOL * norm2)
     inv_d = accepted / np.sqrt(np.where(accepted, d2, 1.0))
     # the new factor row: [-w^T L^-1 / d, 1 / d] and z_k in column K
     new_row = y * -inv_d[:, None]
@@ -238,19 +227,19 @@ def _accept(rows: _Rows, dictionary, flat: np.ndarray, pos: np.ndarray, go: np.n
     # c = L^-T z: the new row of L^-1 adds z times that row.
     rows.coeffs += new_row[:, K, None] * new_row[:, :K]
     rows.k += accepted
-    count = np.count_nonzero(accepted)
-    if count:
+    if accepted.any():
         synthesis = dictionary.synthesize(rows.flats, rows.coeffs)
         np.subtract(rows.target, synthesis.reshape(len(rows), -1), out=rows.residual)
         rows.sse = _row_sse(rows.residual)
-    return accepted, count
+    return accepted
 
 
-def _position(dictionary, flat: int) -> int:
-    """Position of ``flat`` among the dictionary's candidates, or -1."""
+def _positions(dictionary, flats) -> np.ndarray:
+    """Positions among the dictionary's candidates of those ``flats`` that
+    are candidates; the others are dropped."""
     candidates = dictionary.candidates
-    pos = int(np.searchsorted(candidates, flat))
-    return pos if pos < len(candidates) and candidates[pos] == flat else -1
+    pos = np.searchsorted(candidates, flats).clip(max=len(candidates) - 1)
+    return pos[candidates[pos] == flats]
 
 
 class PursuitState:
@@ -329,8 +318,8 @@ def select_atom(state: PursuitState, dictionary) -> object:
     zero and the tie rule picks the smallest address.
     """
     rows = state._rows
-    masked = [_position(dictionary, flat) for flat in sorted(state.masked)]
-    rows.masked = np.array([masked], dtype=np.intp).reshape(1, len(masked))
+    tried = np.array([*rows.flats[0, : state.k], *state.masked], dtype=np.intp)
+    rows.tried = _positions(dictionary, tried)[None]
     pos, top, _ = _select(rows, dictionary)
     if top[0] < 0.0:
         raise PursuitExhaustedError("all dictionary atoms are masked")
@@ -353,8 +342,7 @@ def orthogonalize_and_update(state: PursuitState, dictionary, address) -> Pursui
     rows = state._rows
     if rows.k[0] == rows.capacity:
         rows = state._rows = rows.take(rows.row, _next_capacity(rows.capacity, state.capacity))
-    pos = np.array([_position(dictionary, flat)])
-    if _accept(rows, dictionary, np.array([flat]), pos, rows.live)[1]:
+    if _accept(rows, dictionary, np.array([flat]))[0]:
         state.selected.append(address)
         state._dictionary = dictionary
     else:
@@ -419,10 +407,9 @@ def pursue(
 def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
     """Advance one group, one step at a time, until every row has retired."""
     _retire(rows, threshold, cap, results)
-    step = 0
     while rows.n_live:
         _step(rows, dictionary, threshold, cap, results, steps)
-        step += 1
+        step = rows.tried.shape[1]  # every step tries one candidate per row
         # Retired rows are dropped when the capacity grows, or once they are
         # the majority; until then the group still computes them. On the
         # benchmark's mixed image they are 2.4-2.7% of the rows computed
@@ -452,9 +439,8 @@ def _step(rows: _Rows, dictionary, threshold: float, cap: int, results: list, st
         # a zero maximum: the residual is orthogonal to the whole dictionary
         _finish(rows, np.flatnonzero(live & (top == 0.0)), results)
     flat = dictionary.candidates[pos]
-    accepted, count = _accept(rows, dictionary, flat, pos, rows.live)
-    if count < rows.n_live:
-        rows.mask(np.flatnonzero(rows.live & ~accepted), pos)
+    rows.tried = np.concatenate((rows.tried, pos[:, None]), axis=1)
+    accepted = _accept(rows, dictionary, flat)
     if steps is not None:
         a = np.flatnonzero(accepted)
         steps.append((rows.ids[a], rows.k[a], flat[a], mag[a, pos[a]], rows.sse[a]))

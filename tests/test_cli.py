@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,18 @@ class TestDecodeCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"sparseimg: {sic}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("width, height", [(0, 16), (16, 0)])
+    def test_zero_dimension_container_writes_nothing(self, tmp_path, capsys, width, height):
+        # a header alone: a zero side holds no blocks, so the payload ends there
+        sic = tmp_path / "empty.sic"
+        sic.write_bytes(struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, width, height, 8, DictionaryKind.DCT2_LINEAR.wire_code, 46, 40.0
+        ))
+        code = run(["decode", str(sic)])
+        assert code == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, sic)
+        assert list(tmp_path.iterdir()) == [sic]
 
     def test_block_above_the_container_limit_is_io_error(self, tmp_path, capsys):
         enc = EncodedImage(256, 256, 256, DictionaryKind.DCT2_LINEAR, 86, 40.0, [SparseBlock()])

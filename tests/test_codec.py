@@ -232,6 +232,16 @@ class TestContainer:
         )
         return header + struct.pack("<HId", 1, flat, coeff)
 
+    @pytest.mark.parametrize("width, height, side, offset", [(0, 16, "width", 6), (16, 0, "height", 10)])
+    def test_zero_dimension_is_rejected(self, width, height, side, offset):
+        # every block size tiles a zero side, so the grid has no blocks
+        header = struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, width, height, 8, DictionaryKind.DCT2_LINEAR.wire_code, 46, 40.0
+        )
+        with pytest.raises(ContainerError, match=f"image {side} 0") as excinfo:
+            deserialize(header)
+        assert excinfo.value.offset == offset
+
     def test_address_out_of_range(self):
         with pytest.raises(ContainerError, match="address 7740 out of range"):
             deserialize(self._one_entry_container(90 * 86, 1.0))
@@ -351,6 +361,15 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize(
+        "data, dims", [(b"P5\n-2 1\n255\n", "-2x1"), (b"P5\n-1 -1\n255\nx", "-1x-1")]
+    )
+    def test_negative_dimensions_rejected(self, tmp_path, data, dims):
+        path = tmp_path / "negative.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"negative image dimensions {dims}"):
+            read_pgm(path)
+
 
 class TestReportCsv:
     def test_append_and_read_round_trip(self, tmp_path):
@@ -404,6 +423,10 @@ class TestImageGray8:
     def test_no_pixels_is_rejected(self, shape):
         with pytest.raises(ValueError, match="no pixels"):
             ImageGray8.from_array(np.zeros(shape, np.uint8))
+
+    def test_pixels_must_have_the_image_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(16, 16\) for a 32x16 image"):
+            ImageGray8(width=32, height=16, pixels=np.zeros((16, 16), np.uint8))
 
     def test_from_array_accepts_small_ints(self):
         img = ImageGray8.from_array(np.arange(16, dtype=np.int64).reshape(4, 4))

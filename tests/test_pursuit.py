@@ -98,6 +98,21 @@ class TestSelectAtom:
         with pytest.raises(PursuitExhaustedError):
             select_atom(state, md)
 
+    def test_tried_twin_does_not_exclude_the_last_candidate(self, dict2_linear16):
+        # (48, 7) repeats (32, 7), so it is no candidate; excluding it must
+        # leave the last candidate, planted here, selectable
+        d = dict2_linear16
+        assert d.address_of(d.candidates[-1]) == (83, 83)
+        U = d.base.matrix
+        f = np.outer(U[:, 83], U[:, 83])
+        state = PursuitState(f, capacity=4)
+        state.masked.add(d.flat_index((48, 7)))
+        assert select_atom(state, d) == (83, 83)
+        state = PursuitState(f, capacity=4)
+        orthogonalize_and_update(state, d, (48, 7))
+        assert state.selected == [(48, 7)]
+        assert select_atom(state, d) == (83, 83)
+
 
 class TestTieWindow:
     @pytest.mark.parametrize("first", [0, 1])
@@ -351,6 +366,10 @@ class TestRunOmp:
         f = np.array([0.3, 0.7])
         with pytest.raises(PursuitExhaustedError):
             run_omp(f, md, StoppingRule("target_sse", 0.0))
+
+    def test_dictionary_without_atoms_is_rejected(self):
+        with pytest.raises(ValueError, match="no atom columns"):
+            MatrixDictionary(np.zeros((3, 0)))
 
     def test_signal_shape_mismatch(self, dict2_linear16):
         with pytest.raises(ValueError, match="shape"):
