@@ -8,6 +8,7 @@ comparable with the pursuit's atom count.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,7 +132,8 @@ def threshold_to_psnr(
     """Smallest largest-magnitude coefficient subset reaching the PSNR target.
 
     Binary-searches the kept count along the magnitude ordering and returns
-    ``(kept_count, achieved_psnr)``. Keeping everything reproduces the image
+    ``(kept_count, achieved_psnr)``. The search assumes that the PSNR does
+    not fall as the count grows. Keeping everything reproduces the image
     exactly, so the target is always reachable.
     """
     flat = coeffs.values.ravel()
@@ -144,13 +146,7 @@ def threshold_to_psnr(
         trimmed = replace(coeffs, values=kept.reshape(coeffs.values.shape))
         return psnr(img, inverse_transform(trimmed))
 
-    lo, hi = 0, flat.size
-    if psnr_for(hi) < target_db:
+    if psnr_for(flat.size) < target_db:
         raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if psnr_for(mid) >= target_db:
-            hi = mid
-        else:
-            lo = mid + 1
+    lo = bisect.bisect_left(range(flat.size), True, key=lambda count: psnr_for(count) >= target_db)
     return lo, psnr_for(lo)

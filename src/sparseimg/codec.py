@@ -81,6 +81,9 @@ class ImageGray8:
             raise ValueError(f"image {self.width}x{self.height} has no pixels")
         if self.pixels.shape != (self.height, self.width):
             raise ValueError(f"pixels of shape {self.pixels.shape} for a {self.width}x{self.height} image")
+        if self.pixels.dtype != np.uint8:
+            # write_pgm writes the pixel bytes as they are
+            raise ValueError(f"pixels of dtype {self.pixels.dtype}, not uint8")
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "ImageGray8":
@@ -398,7 +401,10 @@ def deserialize(data: bytes) -> EncodedImage:
         raise ContainerError("image width 0", 6)
     if height == 0:
         raise ContainerError("image height 0", 10)
-    kind = DictionaryKind.from_wire_code(code)
+    try:
+        kind = DictionaryKind.from_wire_code(code)
+    except ValueError as exc:
+        raise ContainerError(str(exc), 16) from None
     if block > MAX_BLOCK:
         # no encoder can write it, and decoding would build a dictionary for it
         raise ContainerError(f"block size {block} exceeds {MAX_BLOCK}", 14)

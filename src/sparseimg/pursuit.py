@@ -16,20 +16,21 @@ the dictionary's synthesis, so the state grows with the number of accepted
 atoms and the dictionary supplies only correlations, Gram rows and sums of
 atoms.
 
-One core pursues a group of signals together. Its state is row-stacked,
-one row per signal, and each step makes one attempt, accepted or masked,
-for every unfinished row, with one numpy call of each kind: correlate,
-masked argmax, Gram row, factor update, synthesis. A row's result never
-depends on the group it is pursued in: every reduction runs over
-dimensions fixed by the dictionary or by the capacity, which steps through
-``8, 16, 32, ...`` as the group's step count reaches it, just as it would
-for the row alone (BLAS dot products change with zero padding, so a width
-set by the group would not do). Rows that finish are retired and the
-arrays compacted lazily. Retired rows are scratch; live rows stay below
-capacity, since a row holds at most as many atoms as steps taken and a row
-retires when it holds the cap. A row's attempt excludes its candidate from
-then on, accepted or masked, so the candidates a row has tried are the one
-record of what its selection excludes.
+One loop pursues a group of signals together. Its state is row-stacked,
+one row per signal. Each step first retires the rows that met the
+threshold or hold the cap, then makes one attempt, accepted or masked, for
+every live row, with one numpy call of each kind: correlate, masked
+argmax, Gram row, factor update, synthesis. A row's result never depends
+on the group it is pursued in: every reduction runs over dimensions fixed
+by the dictionary or by the capacity, which steps through ``8, 16, 32,
+...`` as the group's step count reaches it, just as it would for the row
+alone (BLAS dot products change with zero padding, so a width set by the
+group would not do). Retired rows are scratch, and the arrays are
+compacted lazily; live rows stay below capacity, since a row holds at most
+as many atoms as steps taken and a row retires when it holds the cap. A
+row's attempt excludes its candidate from then on, accepted or masked, so
+the candidates a row has tried are the one record of what its selection
+excludes.
 :func:`run_omp` and the stepwise API (:class:`PursuitState`,
 :func:`select_atom`, :func:`orthogonalize_and_update`) are the same core
 on a group of one.
@@ -139,7 +140,7 @@ class _Rows:
     column per step, the candidate position each row attempted, accepted or
     masked as dependent; selection excludes them all. ``live`` is false for
     retired rows, whose slots are scratch until the next compaction drops
-    them, and ``n_live`` counts the others.
+    them.
     """
 
     def __init__(self, ids: np.ndarray, target: np.ndarray, capacity: int):
@@ -159,7 +160,6 @@ class _Rows:
         self.column = self.row[:, None]
         self.row_start = self.row * K
         self.live = np.ones(rows, dtype=bool)
-        self.n_live = rows
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -182,16 +182,16 @@ class _Rows:
 
 def _select(rows: _Rows, dictionary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's pick: candidate position, largest ``|corr|`` and the
-    magnitudes. Tried candidates are excluded; among the candidates within
-    ``TIE_TOL`` of the maximum the smallest address wins. A maximum of -1
-    means every candidate is excluded."""
+    picked candidate's ``|corr|``. Tried candidates are excluded; among the
+    candidates within ``TIE_TOL`` of the maximum the smallest address wins.
+    A maximum of -1 means every candidate is excluded."""
     n = len(rows)
     corr = dictionary.correlate(rows.residual.reshape((n,) + dictionary.signal_shape))
     mag = np.abs(corr, out=corr)  # correlate returns a fresh array each call
     mag[rows.column, rows.tried] = -1.0
     top = np.maximum.reduce(mag, axis=1)
     pos = (mag >= (top * (1.0 - TIE_TOL))[:, None]).argmax(axis=1)
-    return pos, top, mag
+    return pos, top, mag[rows.row, pos]
 
 
 def _accept(rows: _Rows, dictionary, flat: np.ndarray) -> np.ndarray:
@@ -405,10 +405,14 @@ def pursue(
 
 
 def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
-    """Advance one group, one step at a time, until every row has retired."""
-    _retire(rows, threshold, cap, results)
-    while rows.n_live:
-        _step(rows, dictionary, threshold, cap, results, steps)
+    """Advance one group, one attempt per live row a step, until every row
+    has retired. Each step first retires the rows that met the threshold or
+    hold ``cap`` atoms."""
+    while True:
+        _finish(rows, (rows.sse <= threshold) | (rows.k == cap), results)
+        n_live = np.count_nonzero(rows.live)
+        if not n_live:
+            return
         step = rows.tried.shape[1]  # every step tries one candidate per row
         # Retired rows are dropped when the capacity grows, or once they are
         # the majority; until then the group still computes them. On the
@@ -420,49 +424,35 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
             # A row holds at most ``step`` atoms, so growing now keeps every
             # live row below capacity.
             rows = rows.take(np.flatnonzero(rows.live), _next_capacity(rows.capacity, cap))
-        elif 2 * rows.n_live < len(rows):
+        elif 2 * n_live < len(rows):
             rows = rows.take(np.flatnonzero(rows.live), rows.capacity)
 
-
-def _step(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
-    """One attempt for every live row of the group."""
-    pos, top, mag = _select(rows, dictionary)
-    if np.minimum.reduce(top) <= 0.0:
-        live = rows.live
-        exhausted = np.flatnonzero(live & (top < 0.0))
-        if len(exhausted):
-            r = exhausted[0]
-            raise PursuitExhaustedError(
-                f"all atoms masked with residual SSE {rows.sse[r]:.6g} above threshold {threshold:.6g}",
-                index=int(rows.ids[r]),
-            )
-        # a zero maximum: the residual is orthogonal to the whole dictionary
-        _finish(rows, np.flatnonzero(live & (top == 0.0)), results)
-    flat = dictionary.candidates[pos]
-    rows.tried = np.concatenate((rows.tried, pos[:, None]), axis=1)
-    accepted = _accept(rows, dictionary, flat)
-    if steps is not None:
-        a = np.flatnonzero(accepted)
-        steps.append((rows.ids[a], rows.k[a], flat[a], mag[a, pos[a]], rows.sse[a]))
-    _retire(rows, threshold, cap, results)
+        pos, top, picked = _select(rows, dictionary)
+        if np.minimum.reduce(top) <= 0.0:
+            exhausted = np.flatnonzero(rows.live & (top < 0.0))
+            if len(exhausted):
+                r = exhausted[0]
+                raise PursuitExhaustedError(
+                    f"all atoms masked with residual SSE {rows.sse[r]:.6g} above threshold {threshold:.6g}",
+                    index=int(rows.ids[r]),
+                )
+            # a zero maximum: the residual is orthogonal to the whole dictionary
+            _finish(rows, top == 0.0, results)
+        flat = dictionary.candidates[pos]
+        rows.tried = np.concatenate((rows.tried, pos[:, None]), axis=1)
+        accepted = _accept(rows, dictionary, flat)
+        if steps is not None:
+            a = np.flatnonzero(accepted)
+            steps.append((rows.ids[a], rows.k[a], flat[a], picked[a], rows.sse[a]))
 
 
-def _retire(rows: _Rows, threshold: float, cap: int, results: list) -> None:
-    """Retire the live rows that met the threshold or hold ``cap`` atoms."""
-    done = rows.sse <= threshold
-    if rows.capacity >= cap:  # below the cap no row can hold it
-        done |= rows.k == cap
-    done &= rows.live
-    if np.count_nonzero(done):
-        _finish(rows, np.flatnonzero(done), results)
-
-
-def _finish(rows: _Rows, which: np.ndarray, results: list) -> None:
+def _finish(rows: _Rows, done: np.ndarray, results: list) -> None:
+    """Retire the live rows where ``done`` holds, recording their results."""
+    which = np.flatnonzero(done & rows.live)
     for r in which.tolist():
         k = rows.k[r]
         results[rows.ids[r]] = (rows.flats[r, :k].tolist(), rows.coeffs[r, :k].tolist(), rows.sse[r])
     rows.live[which] = False
-    rows.n_live -= len(which)
 
 
 def run_omp(

@@ -245,6 +245,14 @@ class TestDecodeCommand:
         assert_one_error_line(capsys.readouterr().err, sic)
         assert list(tmp_path.iterdir()) == [sic]
 
+    def test_unknown_dictionary_code_is_io_error(self, tmp_path, capsys):
+        sic = tmp_path / "bad.sic"
+        sic.write_bytes(struct.pack("<4sHIIHBId", b"SIC1", 1, 16, 16, 16, 9, 86, 40.0) + struct.pack("<H", 0))
+        code = run(["decode", str(sic), "--out", str(tmp_path / "out.pgm")])
+        assert code == EXIT_IO
+        assert_one_error_line(capsys.readouterr().err, sic)
+        assert list(tmp_path.iterdir()) == [sic]
+
     def test_block_above_the_container_limit_is_io_error(self, tmp_path, capsys):
         enc = EncodedImage(256, 256, 256, DictionaryKind.DCT2_LINEAR, 86, 40.0, [SparseBlock()])
         sic = tmp_path / "bad.sic"

@@ -242,6 +242,12 @@ class TestContainer:
             deserialize(header)
         assert excinfo.value.offset == offset
 
+    def test_unknown_dictionary_code(self):
+        header = struct.pack("<4sHIIHBId", b"SIC1", 1, 16, 16, 16, 9, 86, 40.0)
+        with pytest.raises(ContainerError, match="unknown dictionary code 9") as excinfo:
+            deserialize(header + struct.pack("<H", 0))
+        assert excinfo.value.offset == 16
+
     def test_address_out_of_range(self):
         with pytest.raises(ContainerError, match="address 7740 out of range"):
             deserialize(self._one_entry_container(90 * 86, 1.0))
@@ -427,6 +433,12 @@ class TestImageGray8:
     def test_pixels_must_have_the_image_shape(self):
         with pytest.raises(ValueError, match=r"shape \(16, 16\) for a 32x16 image"):
             ImageGray8(width=32, height=16, pixels=np.zeros((16, 16), np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+    def test_pixels_must_be_uint8(self, tmp_path, dtype):
+        # written as they are, such pixels would not read back
+        with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}, not uint8"):
+            ImageGray8(width=2, height=2, pixels=np.full((2, 2), 300, dtype))
 
     def test_from_array_accepts_small_ints(self):
         img = ImageGray8.from_array(np.arange(16, dtype=np.int64).reshape(4, 4))
