@@ -405,9 +405,9 @@ def pursue(
 
 
 def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
-    """Advance one group, one attempt per live row a step, until every row
-    has retired. Each step first retires the rows that met the threshold or
-    hold ``cap`` atoms."""
+    """Advance one group until every row has retired. Each step retires the
+    rows that met the threshold or hold ``cap`` atoms, then makes one
+    attempt for every row still live."""
     while True:
         _finish(rows, (rows.sse <= threshold) | (rows.k == cap), results)
         n_live = np.count_nonzero(rows.live)
@@ -426,7 +426,6 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
             rows = rows.take(np.flatnonzero(rows.live), _next_capacity(rows.capacity, cap))
         elif 2 * n_live < len(rows):
             rows = rows.take(np.flatnonzero(rows.live), rows.capacity)
-
         pos, top, picked = _select(rows, dictionary)
         if np.minimum.reduce(top) <= 0.0:
             exhausted = np.flatnonzero(rows.live & (top < 0.0))

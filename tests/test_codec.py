@@ -435,7 +435,7 @@ class TestImageGray8:
             ImageGray8(width=32, height=16, pixels=np.zeros((16, 16), np.uint8))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
-    def test_pixels_must_be_uint8(self, tmp_path, dtype):
+    def test_pixels_must_be_uint8(self, dtype):
         # written as they are, such pixels would not read back
         with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}, not uint8"):
             ImageGray8(width=2, height=2, pixels=np.full((2, 2), 300, dtype))
