@@ -340,7 +340,8 @@ def orthogonalize_and_update(state: PursuitState, dictionary, address) -> Pursui
     if state.k >= state.capacity:
         raise ValueError(f"pursuit state is full ({state.k} atoms)")
     rows = state._rows
-    if rows.k[0] == rows.capacity:
+    # each call is one step; grow at the step counts where a pursued row grows
+    if rows.capacity <= state.k + len(state.masked) < state.capacity:
         rows = state._rows = rows.take(rows.row, _next_capacity(rows.capacity, state.capacity))
     if _accept(rows, dictionary, np.array([flat]))[0]:
         state.selected.append(address)

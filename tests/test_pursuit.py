@@ -175,6 +175,23 @@ class TestMaskedRowsInAGroup:
             assert coeffs.tobytes() == np.array([c for _, c in alone.entries]).tobytes()
             assert norm == alone_norm
 
+    def test_stepwise_pursuit_equals_run_omp(self):
+        # Every column twice: once the signal is represented exactly, dust
+        # picks repeat columns, which get masked. The stepwise state grows
+        # at the step counts a pursued row grows at, so each acceptance
+        # sees a factor of the same width and gives the same bits.
+        rng = np.random.default_rng(0)
+        atoms = rng.normal(size=(18, 24))
+        md = MatrixDictionary(np.column_stack([atoms, atoms]))
+        f = atoms[:, :3].sum(axis=1)
+        block, _ = run_omp(f, md, StoppingRule("target_sse", 0.0))
+        state = PursuitState(f, capacity=18)
+        while state.k < len(block):
+            orthogonalize_and_update(state, md, select_atom(state, md))
+        assert state.masked
+        assert state.selected == [a for a, _ in block.entries]
+        assert state.coefficients.tobytes() == np.array([c for _, c in block.entries]).tobytes()
+
 
 class TestOrthogonalizeAndUpdate:
     def test_first_iteration_uses_atom_directly(self):
