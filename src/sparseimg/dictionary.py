@@ -316,13 +316,10 @@ class Dictionary2D:
         i, j = divmod(int(flat), self.n_base)
         return (i, j)
 
-    def atom_matrix(self, i: int, j: int) -> np.ndarray:
-        U = self.base.matrix
-        return np.outer(U[:, i], U[:, j])
-
     def atom_flat(self, flat: int) -> np.ndarray:
         i, j = self.address_of(flat)
-        return self.atom_matrix(i, j).ravel()
+        U = self.base.matrix
+        return np.outer(U[:, i], U[:, j]).ravel()
 
     def correlate(self, signals: np.ndarray) -> np.ndarray:
         """Inner products of the candidate atoms with each block of a
@@ -376,10 +373,10 @@ def correlate_all(dict2d: Dictionary2D, block: np.ndarray) -> np.ndarray:
 class MatrixDictionary:
     """Plain column dictionary over 1D signals, mainly for small problems.
 
-    Exposes the same pursuit surface as :class:`Dictionary2D`, with integer
-    atom addresses. Every atom is a candidate: atoms need not have unit norm,
-    and equal columns are not merged, so pursuit masks a repeat when it is
-    selected.
+    Pursuit calls ``candidates``, ``signal_shape``, ``correlate``, ``analyze``,
+    ``gram``, ``synthesize``, ``flat_index``, ``address_of`` and ``atom_flat``;
+    addresses are integers. Every atom is a candidate: atoms need not have
+    unit norm, and equal columns are not merged, so pursuit masks a repeat.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -391,7 +388,6 @@ class MatrixDictionary:
         self.matrix = matrix
         self._rows = np.ascontiguousarray(matrix.T)
         self.candidates = _readonly(np.arange(matrix.shape[1]))
-        self.redundant = np.empty(0, dtype=np.intp)
 
     @property
     def n_atoms(self) -> int:

@@ -234,14 +234,6 @@ def _accept(rows: _Rows, dictionary, flat: np.ndarray) -> np.ndarray:
     return accepted
 
 
-def _positions(dictionary, flats) -> np.ndarray:
-    """Positions among the dictionary's candidates of those ``flats`` that
-    are candidates; the others are dropped."""
-    candidates = dictionary.candidates
-    pos = np.searchsorted(candidates, flats).clip(max=len(candidates) - 1)
-    return pos[candidates[pos] == flats]
-
-
 class PursuitState:
     """Mutable state of one pursuit run: a group of one row.
 
@@ -261,15 +253,13 @@ class PursuitState:
     """
 
     def __init__(self, signal: np.ndarray, capacity: int):
-        signal = np.asarray(signal, dtype=np.float64)
+        signal = np.array(signal, dtype=np.float64)  # a copy, held as the row's target
         self.shape = signal.shape
-        self.target = signal.ravel().copy()
-        self.capacity = min(int(capacity), self.target.size)
+        self.capacity = min(int(capacity), signal.size)
         self.selected: list = []
         self.masked: set[int] = set()
         self._dictionary = None  # the dictionary of the accepted atoms
-        self._rows = _Rows(np.zeros(1, dtype=np.intp), self.target[None].copy(),
-                           _next_capacity(0, self.capacity))
+        self._rows = _Rows(np.zeros(1, dtype=np.intp), signal.reshape(1, -1), _next_capacity(0, self.capacity))
 
     @property
     def k(self) -> int:
@@ -277,7 +267,7 @@ class PursuitState:
 
     @property
     def dim(self) -> int:
-        return self.target.size
+        return self._rows.target.shape[1]
 
     @property
     def residual(self) -> np.ndarray:
@@ -318,8 +308,8 @@ def select_atom(state: PursuitState, dictionary) -> object:
     zero and the tie rule picks the smallest address.
     """
     rows = state._rows
-    tried = np.array([*rows.flats[0, : state.k], *state.masked], dtype=np.intp)
-    rows.tried = _positions(dictionary, tried)[None]
+    tried = [*rows.flats[0, : state.k], *state.masked]
+    rows.tried = np.flatnonzero(np.isin(dictionary.candidates, tried))[None]
     pos, top, _ = _select(rows, dictionary)
     if top[0] < 0.0:
         raise PursuitExhaustedError("all dictionary atoms are masked")
@@ -375,12 +365,10 @@ def pursue(
     if signals.shape[1:] != shape:
         raise ValueError(f"signal shape {signals.shape[1:]} does not match dictionary {shape}")
     count, dim = len(signals), int(np.prod(shape))
-    use_threshold = rule.mode in ("target_sse", "both")
-    use_cap = rule.mode in ("max_atoms", "both")
-    threshold = rule.sse_threshold if use_threshold else 0.0
-    if use_cap and rule.atom_cap > dim:
-        raise ValueError(f"atom_cap {rule.atom_cap} exceeds the signal dimension {dim}")
-    cap = rule.atom_cap if use_cap else dim
+    threshold = 0.0 if rule.mode == "max_atoms" else rule.sse_threshold
+    cap = dim if rule.mode == "target_sse" else rule.atom_cap
+    if cap > dim:
+        raise ValueError(f"atom_cap {cap} exceeds the signal dimension {dim}")
 
     group = max(1, GROUP_ENTRIES // len(dictionary.candidates))
     flat_signals = signals.reshape(count, dim)
@@ -389,7 +377,7 @@ def pursue(
     for start in range(0, count, group):
         ids = np.arange(start, min(start + group, count))
         _pursue_group(
-            _Rows(ids, flat_signals[ids].copy(), _next_capacity(0, cap)),
+            _Rows(ids, flat_signals[ids], _next_capacity(0, cap)),
             dictionary, threshold, cap, results, steps,
         )
 
