@@ -1,8 +1,9 @@
 """Command-line front end: encode, decode, and report tabulation.
 
 A failure on a file prints one line, ``sparseimg: <file>: <reason>``. Exit
-codes: 0 success, 1 usage/configuration error, 2 I/O error or malformed
-input, 3 pursuit exhausted.
+codes: 0 success, 1 usage/configuration error, 2 I/O error, malformed input
+or an image too large to allocate, 3 pursuit exhausted or a baseline that
+misses the target with every coefficient kept.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _file_errors(path):
     """Report a failure on ``path`` (or on the file an OSError names) as a CliError."""
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         name = getattr(exc, "filename", None) or path
         raise CliError(f"{name}: {getattr(exc, 'strerror', None) or exc}", EXIT_IO) from exc
     except PursuitExhaustedError as exc:
@@ -127,7 +128,10 @@ def _encode_one_baseline(path: Path, img: codec.ImageGray8, args):
         coeffs = baselines.dct2_block_forward(data, args.block)
     else:
         coeffs = baselines.cdf97_forward(data, args.levels)
-    kept, achieved = baselines.threshold_to_psnr(coeffs, data, args.psnr)
+    try:
+        kept, achieved = baselines.threshold_to_psnr(coeffs, data, args.psnr)
+    except RuntimeError as exc:  # unreachable even with every coefficient kept
+        raise CliError(f"{path}: {exc}", EXIT_NUMERIC) from exc
     report = codec.SparsityReport(
         image=path.stem,
         dictionary=args.method,

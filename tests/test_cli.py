@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import sparseimg
-from sparseimg import DictionaryKind, EncodedImage, SparseBlock, psnr, read_pgm, write_pgm
+from sparseimg import DictionaryKind, EncodedImage, SparseBlock, assemble_dictionary, psnr, read_pgm, write_pgm
 from sparseimg.codec import serialize
-from sparseimg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from sparseimg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 from conftest import synthetic_image
 
@@ -164,6 +164,20 @@ class TestEncodeCommand:
         assert run(["encode", "--method", method, str(path)]) == EXIT_IO
         assert_one_error_line(capsys.readouterr().err, path)
 
+    @pytest.mark.parametrize("method", ["dct", "cdf97"])
+    def test_baseline_missing_the_target_with_every_coefficient_is_numeric_error(
+        self, tmp_path, pgm_path, capsys, method
+    ):
+        # keeping every coefficient reconstructs the image to rounding, far
+        # short of 400 dB
+        report = tmp_path / "r.csv"
+        argv = ["encode", "--method", method, "--block", "8", "--psnr", "400", "--report", str(report)]
+        assert run(argv + [str(pgm_path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert_one_error_line(err, pgm_path)
+        assert "unreachable" in err
+        assert not report.exists()
+
     def test_unknown_method_is_usage_error(self, pgm_path):
         assert run(["encode", "--method", "magic", str(pgm_path)]) == EXIT_USAGE
 
@@ -277,6 +291,30 @@ class TestDecodeCommand:
         assert code == EXIT_IO
         assert_one_error_line(capsys.readouterr().err, original)
         assert not out.exists()
+
+    def test_image_too_large_to_allocate_is_io_error(self, tmp_path):
+        # A 132,127-byte container: 65535x65535 at block 255, every block
+        # empty. Its decode needs a 32 GiB image. The child's address space
+        # is capped at 2 GiB, so the allocation fails; without the cap it
+        # could succeed lazily, and the decode would then touch every block.
+        resource = pytest.importorskip("resource")
+        n_base = len(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 255))
+        enc = EncodedImage(65535, 65535, 255, DictionaryKind.DCT2_LINEAR, n_base, 40.0, [SparseBlock()] * 257**2)
+        sic = tmp_path / "huge.sic"
+        sic.write_bytes(serialize(enc))
+        src = str(Path(sparseimg.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparseimg.cli", "decode", str(sic)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert_one_error_line(proc.stderr, sic)
+        assert "Unable to allocate" in proc.stderr
+        assert list(tmp_path.iterdir()) == [sic]
 
     def test_corrupt_container_is_io_error(self, tmp_path, pgm_path, capsys):
         run(["encode", "--method", "omp_linear", str(pgm_path)])

@@ -8,6 +8,7 @@ allocates about 34 GB.
 
 import contextlib
 import io
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -43,6 +44,7 @@ def run_cli(argv):
         assert err == ""
     else:
         assert err.startswith("sparseimg: ") and err.count("\n") == 1, err
+    return code
 
 
 @contextlib.contextmanager
@@ -105,6 +107,26 @@ def report_files(draw):
 def test_encode_any_pgm(method, data):
     with file_with(data, "in.pgm") as pgm:
         run_cli(["encode", "--method", method, "--block", str(BLOCK), "--psnr", "20", str(pgm)])
+
+
+# a 16x16 image with texture: a high target is out of reach of every method
+PGM = b"P5\n16 16\n255\n" + synthetic_image(16, 16).pixels.tobytes()
+
+
+@pytest.mark.parametrize("method", ["omp_linear", "dct", "cdf97"])
+@SETTINGS
+@given(psnr=st.one_of(
+    st.floats(0.5, 120.0),
+    st.floats(120.0, 1e6),
+    st.sampled_from([400.0, math.inf, math.nan, 0.0, -3.0, 1e-300]),
+))
+def test_encode_any_psnr(method, psnr):
+    # targets beyond reach end with exit 3 and one line, and leave no report row
+    with file_with(PGM, "in.pgm") as pgm:
+        report = pgm.with_name("r.csv")
+        argv = ["encode", "--method", method, "--block", str(BLOCK), "--levels", "2", f"--psnr={psnr!r}"]
+        code = run_cli(argv + ["--report", str(report), str(pgm)])
+        assert report.exists() == (code == 0)
 
 
 @SETTINGS
