@@ -133,8 +133,8 @@ def threshold_to_psnr(
 
     Binary-searches the kept count along the magnitude ordering and returns
     ``(kept_count, achieved_psnr)``. The search assumes that the PSNR does
-    not fall as the count grows. Keeping everything reproduces the image
-    exactly, so the target is always reachable.
+    not fall as the count grows. Keeping everything reproduces the image up
+    to rounding; a target beyond the PSNR that gives raises RuntimeError.
     """
     flat = coeffs.values.ravel()
     order = np.argsort(-np.abs(flat), kind="stable")
