@@ -146,7 +146,8 @@ def threshold_to_psnr(
         trimmed = replace(coeffs, values=kept.reshape(coeffs.values.shape))
         return psnr(img, inverse_transform(trimmed))
 
-    if psnr_for(flat.size) < target_db:
-        raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
     lo = bisect.bisect_left(range(flat.size), True, key=lambda count: psnr_for(count) >= target_db)
-    return lo, psnr_for(lo)
+    achieved = psnr_for(lo)
+    if achieved < target_db:  # the search ended at every coefficient kept
+        raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
+    return lo, achieved

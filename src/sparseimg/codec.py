@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,6 +50,9 @@ _ENTRY = struct.Struct("<Id")
 # to L * L atoms, so L may not exceed isqrt(MAX_ENTRIES).
 MAX_ENTRIES = 65535
 MAX_BLOCK = math.isqrt(MAX_ENTRIES)
+# An entry stores its address as the u32 flat index i * n_base + j, and
+# MAX_N_BASE**2 - 1 = 2**32 - 1 is the largest that fits.
+MAX_N_BASE = 1 << 16
 # A block sums at most MAX_ENTRIES atoms whose values lie in [-1, 1], so no
 # decode of coefficients within +-MAX_COEFF overflows (or meets a nan).
 MAX_COEFF = 1e300
@@ -104,36 +108,25 @@ class ImageGray8:
 def read_pgm(path) -> ImageGray8:
     """Read a binary (P5) PGM file with maxval 255."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError("truncated PGM header")
-        return data[start:pos]
-
-    magic = token()
-    if magic != b"P5":
-        raise ValueError(f"not a binary PGM (P5) file, magic {magic!r}")
-    width, height, maxval = (int(token()) for _ in range(3))
+    header = []  # magic, width, height, maxval, each checked as it is read
+    for match in re.finditer(rb"#[^\r\n]*|\S+", data):
+        word = match[0]
+        if word[:1] == b"#":  # a comment; a "#" inside a token belongs to the token
+            continue
+        if not header and word != b"P5":
+            raise ValueError(f"not a binary PGM (P5) file, magic {word!r}")
+        header.append(int(word) if header else word)
+        if len(header) == 4:
+            break
+    else:
+        raise ValueError("truncated PGM header")
+    width, height, maxval = header[1:]
     if width < 0 or height < 0:
         raise ValueError(f"negative image dimensions {width}x{height}")
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    raster = data[pos : pos + width * height]
+    start = match.end() + 1  # single whitespace after maxval
+    raster = data[start : start + width * height]
     if len(raster) != width * height:
         raise ValueError(f"raster truncated ({len(raster)} of {width * height} bytes)")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
@@ -141,15 +134,13 @@ def read_pgm(path) -> ImageGray8:
 
 
 def write_pgm(path, image) -> None:
-    """Write ``image`` (ImageGray8 or uint8 array) as binary PGM."""
-    if isinstance(image, ImageGray8):
-        pixels = image.pixels
-    else:
-        pixels = np.asarray(image, dtype=np.uint8)
-    h, w = pixels.shape
+    """Write ``image`` as binary PGM: an ImageGray8, or an array that
+    :meth:`ImageGray8.from_array` accepts. A rejected array writes no file."""
+    if not isinstance(image, ImageGray8):
+        image = ImageGray8.from_array(image)
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(pixels.tobytes())
+        f.write(b"P5\n%d %d\n255\n" % (image.width, image.height))
+        f.write(image.pixels.tobytes())
 
 
 def clamp_to_u8(image: np.ndarray) -> np.ndarray:
@@ -303,6 +294,13 @@ def encode(
     except PursuitExhaustedError as exc:
         by, bx = divmod(exc.index, grid.shape[1])
         raise PursuitExhaustedError(f"block ({by}, {bx}): {exc}", index=exc.index) from exc
+    # a block may still miss the threshold when it holds all L * L atoms
+    bound = math.sqrt(threshold)
+    if max(norm for _, norm in results) > bound:
+        n = next(n for n, (_, norm) in enumerate(results) if norm > bound)
+        raise PursuitExhaustedError(
+            f"block {divmod(n, grid.shape[1])}: residual SSE {results[n][1] ** 2:.6g} above threshold "
+            f"{threshold:.6g} with {len(results[n][0])} atoms", index=n)
 
     enc = EncodedImage(
         width=img.width,
@@ -335,14 +333,11 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
     Use :func:`clamp_to_u8` for an 8-bit export; PSNR is evaluated on the
     real-valued output.
     """
-    if enc.kind is not dict2d.base.kind:
+    base = dict2d.base
+    if (enc.kind, enc.n_base, enc.block_size) != (base.kind, dict2d.n_base, base.block_len):
         raise DictionaryMismatchError(
-            f"container was encoded with {enc.kind.value}, got {dict2d.base.kind.value}"
-        )
-    if enc.n_base != dict2d.n_base or enc.block_size != dict2d.base.block_len:
-        raise DictionaryMismatchError(
-            f"container expects {enc.n_base} base atoms at block {enc.block_size}, "
-            f"dictionary has {dict2d.n_base} at block {dict2d.base.block_len}"
+            f"container expects {enc.kind.value} with {enc.n_base} base atoms at block "
+            f"{enc.block_size}, dictionary is {base.kind.value} with {dict2d.n_base} at block {base.block_len}"
         )
     out = np.zeros((enc.height, enc.width))
     grid = to_blocks(out, enc.block_size)
@@ -352,6 +347,8 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
 
 
 def serialize(enc: EncodedImage) -> bytes:
+    if enc.n_base > MAX_N_BASE:
+        raise ValueError(f"n_base {enc.n_base} exceeds {MAX_N_BASE}: addresses would overflow u32")
     buf = io.BytesIO()
     buf.write(
         _HEADER.pack(
@@ -405,6 +402,8 @@ def deserialize(data: bytes) -> EncodedImage:
         kind = DictionaryKind.from_wire_code(code)
     except ValueError as exc:
         raise ContainerError(str(exc), 16) from None
+    if n_base > MAX_N_BASE:
+        raise ContainerError(f"n_base {n_base} exceeds {MAX_N_BASE}", 17)
     if block > MAX_BLOCK:
         # no encoder can write it, and decoding would build a dictionary for it
         raise ContainerError(f"block size {block} exceeds {MAX_BLOCK}", 14)

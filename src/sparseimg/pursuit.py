@@ -73,6 +73,8 @@ FIRST_CAPACITY = 8  # atoms a row holds before its first growth
 class PursuitExhaustedError(RuntimeError):
     """Every dictionary atom is masked but the stopping rule is not satisfied.
 
+    :func:`sparseimg.codec.encode` also raises it for a block that ends its
+    pursuit with its SSE above the threshold, holding all ``L * L`` atoms.
     ``index`` is the position of the signal in the group that exhausted.
     """
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparseimg import (
     dct2_block_inverse,
     threshold_to_psnr,
 )
+from sparseimg import baselines
 from sparseimg.baselines import dct_matrix, inverse_transform
 from sparseimg.codec import psnr
 
@@ -115,6 +117,25 @@ class TestCdf97:
 
 
 class TestThresholdToPsnr:
+    def test_unknown_transform_kind(self):
+        coeffs = TransformCoeffs(kind="haar", values=np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="unknown transform kind 'haar'"):
+            inverse_transform(coeffs)
+
+    @pytest.mark.parametrize("target, reachable", [(35.0, True), (400.0, False)])
+    def test_one_inverse_transform_per_probe_and_one_for_the_result(self, target, reachable):
+        # the binary search over 1,024 counts probes ten of them; the result's
+        # PSNR is computed once more, also when it is the all-coefficients one
+        img = synthetic_image(32, 32).as_float()
+        coeffs = dct2_block_forward(img, 16)
+        with mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
+            if reachable:
+                threshold_to_psnr(coeffs, img, target)
+            else:
+                with pytest.raises(RuntimeError, match="unreachable even with all coefficients"):
+                    threshold_to_psnr(coeffs, img, target)
+        assert spy.call_count == 11
+
     def test_keep_all_is_effectively_lossless(self):
         # invertibility makes any realistic target reachable; the keep-all
         # reconstruction sits at float round-off (about 300 dB here)

@@ -178,6 +178,36 @@ class TestEncodeCommand:
         assert "unreachable" in err
         assert not report.exists()
 
+    def test_omp_target_missed_at_the_atom_cap_is_numeric_error(self, tmp_path, capsys):
+        # every 8x8 block of this image holds all 64 atoms with its SSE
+        # still above the 400 dB threshold
+        path = tmp_path / "img.pgm"
+        write_pgm(path, synthetic_image(16, 16))
+        out, report = tmp_path / "out", tmp_path / "r.csv"
+        out.mkdir()
+        argv = ["encode", "--block", "8", "--psnr", "400", "--out", str(out), "--report", str(report), str(path)]
+        assert run(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert_one_error_line(err, path)
+        assert f"sparseimg: {path}: pursuit exhausted: block (0, 0): residual SSE " in err
+        assert "with 64 atoms" in err
+        assert list(out.iterdir()) == []
+        assert not report.exists()
+
+    def test_omp_target_missed_with_every_atom_masked_is_numeric_error(self, tmp_path, capsys):
+        # the console-script smoke image: at 400 dB, block (0, 1) masks every
+        # remaining candidate before it holds 64 atoms
+        y, x = np.mgrid[:32, :32]
+        path = tmp_path / "x.pgm"
+        write_pgm(path, (128 + 60 * np.sin(x / 3.0) + 2 * y).astype(np.uint8))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["encode", "--block", "8", "--psnr", "400", "--out", str(out), str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert_one_error_line(err, path)
+        assert f"sparseimg: {path}: pursuit exhausted: block (0, 1): all atoms masked" in err
+        assert list(out.iterdir()) == []
+
     def test_unknown_method_is_usage_error(self, pgm_path):
         assert run(["encode", "--method", "magic", str(pgm_path)]) == EXIT_USAGE
 
@@ -379,6 +409,12 @@ class TestTableCommand:
         out = capsys.readouterr().out
         assert "measured / reference" in out
         assert "1.000" in out  # 6.5 against the published 6.5
+
+    def test_reference_mode_skips_an_image_without_a_published_row(self, tmp_path, capsys):
+        r1 = self._report(tmp_path, [("lena", "dct", 40330, 6.5, 40.0, 40.0), ("synth", "dct", 10, 2.0, 40.0, 40.0)])
+        assert run(["table", str(r1), "--reference"]) == EXIT_OK
+        ratios = capsys.readouterr().out.split("measured / reference at 40 dB\n")[1]
+        assert [line.split()[0] for line in ratios.splitlines()] == ["lena"]
 
     def test_foreign_csv_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "junk.csv"

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from sparseimg import Dictionary2D, DictionaryKind, assemble_dictionary, encode  # noqa: E402
 from sparseimg.cli import main  # noqa: E402
@@ -120,6 +120,7 @@ PGM = b"P5\n16 16\n255\n" + synthetic_image(16, 16).pixels.tobytes()
     st.floats(120.0, 1e6),
     st.sampled_from([400.0, math.inf, math.nan, 0.0, -3.0, 1e-300]),
 ))
+@example(psnr=400.0)
 def test_encode_any_psnr(method, psnr):
     # targets beyond reach end with exit 3 and one line, and leave no report row
     with file_with(PGM, "in.pgm") as pgm:
@@ -127,6 +128,8 @@ def test_encode_any_psnr(method, psnr):
         argv = ["encode", "--method", method, "--block", str(BLOCK), "--levels", "2", f"--psnr={psnr!r}"]
         code = run_cli(argv + ["--report", str(report), str(pgm)])
         assert report.exists() == (code == 0)
+        if psnr == 400.0:
+            assert code == 3
 
 
 @SETTINGS

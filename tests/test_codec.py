@@ -24,6 +24,7 @@ from sparseimg import (
 )
 from sparseimg.codec import (
     MAX_ENTRIES,
+    MAX_N_BASE,
     ContainerError,
     DictionaryMismatchError,
     append_report,
@@ -194,6 +195,20 @@ class TestDecode:
         with pytest.raises(DictionaryMismatchError):
             decode(enc, dict2_cubic16)
 
+    @pytest.mark.parametrize(
+        "kind, n_base, block, expects",
+        [
+            (DictionaryKind.DCT2_CUBIC, 86, 16, "dct2_cubic with 86 base atoms at block 16"),
+            (DictionaryKind.DCT2_LINEAR, 85, 16, "dct2_linear with 85 base atoms at block 16"),
+            (DictionaryKind.DCT2_LINEAR, 86, 8, "dct2_linear with 86 base atoms at block 8"),
+        ],
+    )
+    def test_mismatch_names_both_sides(self, dict2_linear16, kind, n_base, block, expects):
+        enc = EncodedImage(16, 16, block, kind, n_base, 40.0, [SparseBlock()] * (16 // block) ** 2)
+        message = f"container expects {expects}, dictionary is dct2_linear with 86 at block 16"
+        with pytest.raises(DictionaryMismatchError, match=re.escape(message)):
+            decode(enc, dict2_linear16)
+
 
 class TestContainer:
     def test_round_trip_is_byte_identical(self, dict2_linear16, small_image):
@@ -318,6 +333,36 @@ class TestContainer:
                 blocks=[SparseBlock()],
             )
 
+    def test_block_count_truncated(self):
+        # a 32x32 image at L = 16 has four blocks; the payload ends after one
+        header = struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, 32, 32, 16, DictionaryKind.DCT2_LINEAR.wire_code, 86, 40.0
+        )
+        with pytest.raises(ContainerError, match="block count truncated") as excinfo:
+            deserialize(header + struct.pack("<H", 0))
+        assert excinfo.value.offset == 31
+
+    def test_n_base_above_the_limit_is_value_error(self):
+        # flat address 69999 * 70000 + 69999 does not fit the u32 entry field
+        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, 70000, 40.0, [SparseBlock([((69999, 69999), 1.0)])])
+        with pytest.raises(ValueError, match=f"n_base 70000 exceeds {MAX_N_BASE}"):
+            serialize(enc)
+
+    def test_n_base_above_the_limit_is_rejected_on_read(self):
+        header = struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, 16, 16, 16, DictionaryKind.DCT2_LINEAR.wire_code, MAX_N_BASE + 1, 40.0
+        )
+        with pytest.raises(ContainerError, match=f"n_base {MAX_N_BASE + 1} exceeds {MAX_N_BASE}") as excinfo:
+            deserialize(header + struct.pack("<H", 0))
+        assert excinfo.value.offset == 17
+
+    def test_n_base_at_the_limit_round_trips_its_last_address(self):
+        last = MAX_N_BASE - 1
+        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, MAX_N_BASE, 40.0, [SparseBlock([((last, last), 1.0)])])
+        payload = serialize(enc)
+        assert struct.unpack_from("<I", payload, 31) == (2**32 - 1,)
+        assert deserialize(payload) == enc
+
     def test_block_beyond_the_u16_entry_count_is_value_error(self):
         enc = EncodedImage(
             width=512,
@@ -366,6 +411,26 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "array, reason",
+        [
+            ([[300.0, -1.0], [2.7, 255.9]], "8-bit pixels"),
+            (np.full((2, 2), 7.0), "8-bit pixels"),
+            ([[256, -1]], "8-bit pixels"),
+            (np.zeros((0, 3), np.uint8), "no pixels"),
+            (np.zeros((0, 3)), "8-bit pixels"),
+            (np.zeros((2, 2, 2), np.uint8), "2D grayscale"),
+            (np.zeros(4, np.uint8), "2D grayscale"),
+        ],
+        ids=["floats", "float-integers", "ints-outside-0-255", "empty", "empty-float", "3d", "1d"],
+    )
+    def test_write_rejects_what_from_array_rejects(self, tmp_path, array, reason):
+        # no array is cast to uint8: a cast would write 300.0 as 44 and -1 as 255
+        path = tmp_path / "w.pgm"
+        with pytest.raises(ValueError, match=reason):
+            write_pgm(path, array)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "data, dims", [(b"P5\n-2 1\n255\n", "-2x1"), (b"P5\n-1 -1\n255\nx", "-1x-1")]

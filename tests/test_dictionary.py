@@ -95,6 +95,10 @@ class TestSamplePrototype:
         assert np.all(values > 0)
         np.testing.assert_allclose(values, values[::-1], rtol=0, atol=1e-15)
 
+    def test_unsupported_order(self):
+        with pytest.raises(ValueError, match="unsupported spline order 3"):
+            sample_prototype(3, 1)
+
     def test_dilation_out_of_range(self):
         with pytest.raises(ValueError, match="dilation"):
             sample_prototype(2, 4)
@@ -180,6 +184,10 @@ class TestBuildCosineDict:
         for atom in build_cosine_dict(16, 32):
             assert atom.support_start == 0
             assert atom.support_len == 16
+
+    def test_block_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="block length must be positive, got 0"):
+            build_cosine_dict(0, 0)
 
     def test_redundancy_must_be_two(self):
         with pytest.raises(ValueError, match="redundancy 2"):
@@ -282,6 +290,15 @@ class TestDictionary2D:
     def test_dimension_mismatch(self, dict2_linear16):
         with pytest.raises(ValueError, match="block"):
             correlate_all(dict2_linear16, np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("address", [(86, 0), (0, 86), (-1, 0), (0, -1)])
+    def test_address_out_of_range(self, dict2_linear16, address):
+        with pytest.raises(IndexError, match="out of range for 86 base atoms"):
+            dict2_linear16.flat_index(address)
+
+    def test_stacked_correlate_checks_the_block_shape(self, dict2_linear16):
+        with pytest.raises(ValueError, match=r"expected a stack of \(16, 16\) blocks, got \(2, 8, 8\)"):
+            dict2_linear16.correlate(np.zeros((2, 8, 8)))
 
     @pytest.mark.parametrize("L, n_distinct", [(16, 80), (8, 40)])
     def test_redundant_addresses_have_a_twin_factor(self, L, n_distinct):

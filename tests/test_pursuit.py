@@ -43,6 +43,10 @@ class TestStoppingRule:
         with pytest.raises(ValueError, match="atom_cap"):
             StoppingRule(mode="max_atoms")
 
+    def test_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="atom_cap must be nonnegative"):
+            StoppingRule(mode="max_atoms", atom_cap=-1)
+
     def test_cap_above_dimension_rejected_at_run(self, dict2_linear16):
         rule = StoppingRule(mode="both", sse_threshold=1.0, atom_cap=300)
         with pytest.raises(ValueError, match="dimension"):
@@ -287,6 +291,19 @@ class TestOrthogonalizeAndUpdate:
         with pytest.raises(ValueError, match="already"):
             orthogonalize_and_update(state, md, 0)
 
+    def test_full_state_is_an_error(self):
+        md = toy_dictionary()
+        state = PursuitState(np.array([1.0, 0.5]), capacity=1)
+        orthogonalize_and_update(state, md, 0)
+        with pytest.raises(ValueError, match=r"pursuit state is full \(1 atoms\)"):
+            orthogonalize_and_update(state, md, 1)
+        assert state.selected == [0]
+
+    def test_empty_state_has_empty_bases(self):
+        state = PursuitState(np.array([1.0, 0.5, -2.0]), capacity=3)
+        assert state.orthonormal_basis.shape == (3, 0)
+        assert state.dual_basis.shape == (3, 0)
+
     def test_coefficients_match_normal_equations(self):
         rng = np.random.default_rng(11)
         md = random_dictionary(rng, 8, 20)
@@ -387,6 +404,20 @@ class TestRunOmp:
     def test_dictionary_without_atoms_is_rejected(self):
         with pytest.raises(ValueError, match="no atom columns"):
             MatrixDictionary(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_dictionary_that_is_not_a_matrix_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(dim, n_atoms\) matrix"):
+            MatrixDictionary(np.ones(shape))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_matrix_atom_index_out_of_range(self, index):
+        with pytest.raises(IndexError, match=f"atom index {index} out of range for 2 atoms"):
+            toy_dictionary().flat_index(index)
+
+    def test_matrix_correlate_checks_the_signal_shape(self):
+        with pytest.raises(ValueError, match=r"expected a stack of \(2,\) signals, got \(1, 3\)"):
+            toy_dictionary().correlate(np.zeros((1, 3)))
 
     def test_signal_shape_mismatch(self, dict2_linear16):
         with pytest.raises(ValueError, match="shape"):

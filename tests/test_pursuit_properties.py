@@ -14,6 +14,19 @@ split over several groups:
   maximum, recomputed densely;
 - ``pursue`` raises ``PursuitExhaustedError`` exactly when some signal's
   own ``run_omp`` raises it.
+
+The same checks run on the separable ``dct2_linear`` dictionaries at
+L = 5-8, over stacks of noise, planted integer sums of 1-4 atoms, constant
+and zero blocks; there a pick may not be a non-candidate twin. Their
+coefficients also match the least-squares solution on the same support
+within ``LS_FACTOR * k * eps * cond(A_S)**2 * |c|``. The pursuit solves the
+normal equations (a Cholesky factor of the Gram matrix), so its error
+grows with the square of the condition number, not the first power: a
+planted L = 5 block pursued to a zero threshold accepted 25 atoms with
+cond(A_S) = 1.1e8, and its coefficients differ from the least-squares ones
+by their own size. A fixed high-k case, the 64x64 corner of corpus
+``texture`` at 80 dB, checks that the residual stays at the least-squares
+residual of its support when blocks hold up to 165 atoms.
 """
 
 import math
@@ -26,18 +39,31 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sparseimg import (  # noqa: E402
+    Dictionary2D,
+    DictionaryKind,
     MatrixDictionary,
     PursuitExhaustedError,
     PursuitState,
     StoppingRule,
+    assemble_dictionary,
     orthogonalize_and_update,
+    psnr_to_block_sse,
     run_omp,
     select_atom,
 )
 from sparseimg import pursuit  # noqa: E402
+from sparseimg.codec import to_blocks  # noqa: E402
+
+from _corpus import crop  # noqa: E402
+from _oracles import flattened_atoms, least_squares_coeffs  # noqa: E402
 
 TIE = 1e-12  # the documented tie window, relative to the maximum
 EPS = np.finfo(np.float64).eps
+LS_FACTOR = 16  # the constant of the least-squares bound
+
+# one dct2_linear dictionary per block side, with its candidate atoms as dense rows
+DICT2D = {L: Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L)) for L in range(5, 9)}
+ATOMS2D = {L: flattened_atoms(d)[d.candidates] for L, d in DICT2D.items()}
 
 COLUMN_KINDS = ("normal", "integer", "unit", "duplicate", "scaled", "combination")
 SIGNAL_KINDS = ("normal", "integer", "sparse", "near", "atom", "zero")
@@ -88,6 +114,13 @@ def problems(draw):
             signal = np.zeros(dim)
         signals.append(signal)
 
+    rule, group = draw(rules_and_groups(dim))
+    return MatrixDictionary(matrix), np.array(signals), rule, group
+
+
+@st.composite
+def rules_and_groups(draw, dim):
+    """A stopping rule for signals of ``dim`` samples and a group size."""
     mode = draw(st.sampled_from(pursuit.STOP_MODES))
     threshold = draw(st.sampled_from([0.0, 1e-12, 0.5, 4.0, math.inf]))
     cap = draw(st.integers(0, dim))
@@ -96,8 +129,34 @@ def problems(draw):
         sse_threshold=0.0 if mode == "max_atoms" else threshold,
         atom_cap=None if mode == "target_sse" else cap,
     )
-    group = draw(st.integers(1, 4))
-    return MatrixDictionary(matrix), np.array(signals), rule, group
+    return rule, draw(st.integers(1, 4))
+
+
+BLOCK_KINDS = ("noise", "planted", "constant", "zero")
+
+
+@st.composite
+def problems_2d(draw):
+    """A dct2_linear dictionary at L = 5-8, a stack of 1-6 blocks, a stopping rule and a group size."""
+    L = draw(st.integers(5, 8))
+    d = DICT2D[L]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 6))
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=count, max_size=count)):
+        if kind == "noise":
+            block = rng.normal(0.0, 20.0, size=(L, L))
+        elif kind == "planted":  # a sum of 1-4 candidate atoms with integer coefficients
+            picked = rng.choice(len(d.candidates), size=rng.integers(1, 5), replace=False)
+            weights = rng.choice([-3, -2, -1, 1, 2, 3], size=len(picked))
+            block = (weights @ ATOMS2D[L][picked]).reshape(L, L)
+        elif kind == "constant":
+            block = np.full((L, L), float(rng.integers(1, 256)))
+        else:
+            block = np.zeros((L, L))
+        blocks.append(block)
+    rule, group = draw(rules_and_groups(L * L))
+    return d, np.array(blocks), rule, group
 
 
 def alone(signal, md, rule):
@@ -109,55 +168,71 @@ def alone(signal, md, rule):
     return [a for a, _ in block.entries], np.array([c for _, c in block.entries]), norm
 
 
-def check_pick(state, md, pick):
-    """``pick`` is the smallest non-excluded atom within TIE of the dense maximum.
+def check_pick(state, dictionary, atoms, magnitudes, pick, exact=True):
+    """``pick`` is the smallest non-excluded candidate within TIE of the dense maximum.
 
-    Correlations are recomputed with ``math.fsum``; ``bound`` covers the
-    rounding of both routes, so the check holds for any summation order.
+    ``atoms`` holds the candidate atoms as rows, in candidate order, and
+    ``magnitudes`` their absolute values; atoms that are not candidates are
+    never picked, and accepted and masked atoms are excluded. Correlations
+    are recomputed with ``math.fsum``, or with a matrix product when
+    ``exact`` is false, which may add ``dim * eps * sum|products|`` more;
+    ``bound`` covers the rounding of both routes, so the check holds for
+    any summation order.
     """
-    products = md.matrix * state.residual[:, None]
-    corr = np.abs([math.fsum(column) for column in products.T])
-    bound = 4 * (md.dim + 2) * EPS * np.abs(products).sum(axis=0)
-    excluded = {*state.selected, *state.masked}
-    assert pick not in excluded
-    open_ = np.array([a for a in range(md.n_atoms) if a not in excluded])
-    top, slack = corr[open_].max(), bound[open_].max()
-    assert corr[pick] >= (1 - TIE) * (top - slack) - bound[pick]
-    smaller = open_[open_ < pick]
-    assert np.all(corr[smaller] < (1 - TIE) * (top + slack) + bound[smaller])
+    dim = atoms.shape[1]
+    residual = state.residual.ravel()
+    candidates = dictionary.candidates
+    excluded = [*map(dictionary.flat_index, state.selected), *state.masked]
+    is_open = np.ones(len(candidates), dtype=bool)
+    is_open[np.searchsorted(candidates, excluded)] = False
+    at = np.searchsorted(candidates, dictionary.flat_index(pick))
+    assert at < len(candidates) and candidates[at] == dictionary.flat_index(pick) and is_open[at]
+    if exact:
+        products = atoms * residual
+        corr = np.abs([math.fsum(row) for row in products])
+        bound = 4 * (dim + 2) * EPS * np.abs(products).sum(axis=1)
+    else:
+        corr = np.abs(atoms @ residual)
+        bound = 5 * (dim + 2) * EPS * (magnitudes @ np.abs(residual))
+    top, slack = corr[is_open].max(), bound[is_open].max()
+    assert corr[at] >= (1 - TIE) * (top - slack) - bound[at]
+    smaller = is_open[:at]
+    assert np.all(corr[:at][smaller] < (1 - TIE) * (top + slack) + bound[:at][smaller])
 
 
-def replay(signal, md, rule, n_accepted):
+def replay(signal, dictionary, atoms, rule, n_accepted, exact=True):
     """Stepwise pursuit of ``signal`` until it holds ``n_accepted`` atoms
     (or, with None, until it stops or exhausts); every step tries a new atom."""
-    cap = md.dim if rule.atom_cap is None else rule.atom_cap
+    dim = atoms.shape[1]
+    cap = dim if rule.atom_cap is None else rule.atom_cap
     threshold = rule.sse_threshold if rule.mode != "max_atoms" else 0.0
     state = PursuitState(signal, capacity=cap)
-    for _ in range(md.n_atoms + 1):
+    magnitudes = np.abs(atoms)
+    for _ in range(len(dictionary.candidates) + 1):
         if n_accepted is None:
             if state.residual_sse <= threshold or state.k == cap:
                 return state
         elif state.k == n_accepted:
             return state
-        pick = select_atom(state, md)
-        check_pick(state, md, pick)
-        orthogonalize_and_update(state, md, pick)
-    raise AssertionError(f"more than {md.n_atoms} steps: an atom was tried twice")
+        pick = select_atom(state, dictionary)
+        check_pick(state, dictionary, atoms, magnitudes, pick, exact)
+        orthogonalize_and_update(state, dictionary, pick)
+    raise AssertionError(f"more than {len(dictionary.candidates)} steps: an atom was tried twice")
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(problem=problems())
-def test_pursuit_core_agrees_with_itself(problem):
-    md, signals, rule, group = problem
-    expected = [alone(signal, md, rule) for signal in signals]
+def check_agreement(dictionary, atoms, signals, rule, group, exact=True):
+    """``pursue`` over ``signals`` in groups of ``group`` against ``run_omp``
+    on each signal alone and a stepwise replay of each; returns what
+    ``run_omp`` gave each signal (None where it exhausted)."""
+    expected = [alone(signal, dictionary, rule) for signal in signals]
 
-    with mock.patch.object(pursuit, "GROUP_ENTRIES", group * md.n_atoms):
+    with mock.patch.object(pursuit, "GROUP_ENTRIES", group * len(dictionary.candidates)):
         if any(e is None for e in expected):
             with pytest.raises(PursuitExhaustedError) as info:
-                pursuit.pursue(signals, md, rule)
+                pursuit.pursue(signals, dictionary, rule)
             assert expected[info.value.index] is None
         else:
-            results = pursuit.pursue(signals, md, rule)
+            results = pursuit.pursue(signals, dictionary, rule)
             for (block, norm), (addresses, coeffs, alone_norm) in zip(results, expected):
                 assert [a for a, _ in block.entries] == addresses
                 assert np.array([c for _, c in block.entries]).tobytes() == coeffs.tobytes()
@@ -166,9 +241,50 @@ def test_pursuit_core_agrees_with_itself(problem):
     for signal, e in zip(signals, expected):
         if e is None:
             with pytest.raises(PursuitExhaustedError):
-                replay(signal, md, rule, None)
+                replay(signal, dictionary, atoms, rule, None, exact)
             continue
         addresses, coeffs, _ = e
-        state = replay(signal, md, rule, len(addresses))
+        state = replay(signal, dictionary, atoms, rule, len(addresses), exact)
         assert state.selected == addresses
         assert state.coefficients.tobytes() == coeffs.tobytes()
+    return expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=problems())
+def test_pursuit_core_agrees_with_itself(problem):
+    md, signals, rule, group = problem
+    check_agreement(md, md.matrix.T, signals, rule, group)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(problem=problems_2d())
+def test_pursuit_core_agrees_with_itself_on_dictionary2d(problem):
+    d, blocks, rule, group = problem
+    L = d.base.block_len
+    expected = check_agreement(d, ATOMS2D[L], blocks, rule, group, exact=False)
+    for block, e in zip(blocks, expected):
+        if e is None or not e[0]:
+            continue
+        addresses, coeffs, _ = e
+        A = np.column_stack([d.atom_flat(d.flat_index(a)) for a in addresses])
+        error = np.linalg.norm(coeffs - least_squares_coeffs(d, addresses, block))
+        k, cond = len(addresses), np.linalg.cond(A)
+        assert error <= LS_FACTOR * k * EPS * cond**2 * np.linalg.norm(coeffs)
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_high_k_residual_is_the_least_squares_residual(L):
+    # up to 48 atoms per block at L = 8 and 165 at L = 16; the worst excess
+    # seen is about 3e-20 of the block energy
+    d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
+    blocks = to_blocks(crop("texture").as_float()[:64, :64], L).reshape(-1, L, L)
+    rule = StoppingRule("both", psnr_to_block_sse(80.0, L), L * L)
+    results = pursuit.pursue(blocks, d, rule)
+    assert max(len(sparse) for sparse, _ in results) > 2 * L
+    for block, (sparse, norm) in zip(blocks, results):
+        addresses = [a for a, _ in sparse.entries]
+        A = np.column_stack([d.atom_flat(d.flat_index(a)) for a in addresses])
+        f = block.ravel()
+        ls_sse = np.sum((f - A @ least_squares_coeffs(d, addresses, block)) ** 2)
+        assert norm**2 - ls_sse <= 1e-12 * (f @ f)
