@@ -111,7 +111,7 @@ def read_pgm(path) -> ImageGray8:
     header = []  # magic, width, height, maxval, each checked as it is read
     for match in re.finditer(rb"#[^\r\n]*|\S+", data):
         word = match[0]
-        if word[:1] == b"#":  # a comment; a "#" inside a token belongs to the token
+        if word.startswith(b"#"):  # a comment; a "#" inside a token belongs to the token
             continue
         if not header and word != b"P5":
             raise ValueError(f"not a binary PGM (P5) file, magic {word!r}")
@@ -282,7 +282,8 @@ def encode(
     Returns the encoded image and its sparsity report. Each block gets the
     expansion :func:`~sparseimg.pursuit.run_omp` gives it alone. ``trace``
     collects ``(block_index, k, i, j, abs_corr, sse)`` rows, ordered by block
-    and then by ``k``.
+    and then by ``k``. A block that cannot meet the threshold raises
+    :class:`~sparseimg.pursuit.PursuitExhaustedError` naming the block.
     """
     L = dict2d.base.block_len
     grid = to_blocks(img.as_float(), L)
@@ -292,8 +293,7 @@ def encode(
     try:
         results = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=steps)
     except PursuitExhaustedError as exc:
-        by, bx = divmod(exc.index, grid.shape[1])
-        raise PursuitExhaustedError(f"block ({by}, {bx}): {exc}", index=exc.index) from exc
+        raise PursuitExhaustedError(f"block {divmod(exc.index, grid.shape[1])}: {exc}", index=exc.index) from exc
     # a block may still miss the threshold when it holds all L * L atoms
     bound = math.sqrt(threshold)
     if max(norm for _, norm in results) > bound:
