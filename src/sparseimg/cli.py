@@ -118,7 +118,7 @@ def _encode_one_omp(path: Path, img: codec.ImageGray8, args, dict2d: Dictionary2
         with open(trace_path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(("block", "k", "i", "j", "abs_corr", "sse"))
-            writer.writerows(trace_rows)
+            writer.writerows((block, k, i, j, corr, sse) for block, k, (i, j), corr, sse in trace_rows)
     return report, out_path
 
 
@@ -232,15 +232,14 @@ def cmd_table(args) -> int:
     images, table, target = _merge_reports(args.reports)
     methods = [m for m in METHODS if any(m in row for row in table.values())]
     width = max([len("image")] + [len(name) for name in images])
-    header = ["image".ljust(width)] + [m.rjust(10) for m in methods]
+
+    def print_row(first: str, cells: list[str]) -> None:
+        print("  ".join([first.ljust(width)] + [cell.rjust(10) for cell in cells]))
+
     print(f"compression ratios at PSNR {target:g} dB")
-    print("  ".join(header))
+    print_row("image", methods)
     for name in images:
-        cells = [name.ljust(width)]
-        for m in methods:
-            value = table[name].get(m)
-            cells.append(("-" if value is None else f"{value:.2f}").rjust(10))
-        print("  ".join(cells))
+        print_row(name, [f"{table[name][m]:.2f}" if m in table[name] else "-" for m in methods])
 
     if args.csv:
         with _file_errors(args.csv), open(args.csv, "w", newline="") as f:
@@ -254,17 +253,10 @@ def cmd_table(args) -> int:
     if args.reference:
         print("\nmeasured / reference at 40 dB")
         for name in images:
-            key = _REFERENCE_ALIASES.get(name.lower(), name.lower())
-            ref_row = REFERENCE_CR_40DB.get(key)
-            if ref_row is None:
-                continue
-            cells = [name.ljust(width)]
-            for m in methods:
-                measured, ref = table[name].get(m), ref_row.get(m)
-                cells.append(
-                    ("-" if measured is None or ref is None else f"{measured / ref:.3f}").rjust(10)
-                )
-            print("  ".join(cells))
+            ref_row = REFERENCE_CR_40DB.get(_REFERENCE_ALIASES.get(name.lower(), name.lower()))
+            if ref_row is not None:
+                measured = table[name]
+                print_row(name, [f"{measured[m] / ref_row[m]:.3f}" if m in measured else "-" for m in methods])
     return EXIT_OK
 
 

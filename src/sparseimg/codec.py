@@ -95,7 +95,8 @@ class ImageGray8:
         if a.ndim != 2:
             raise ValueError(f"expected a 2D grayscale array, got shape {a.shape}")
         if a.dtype != np.uint8:
-            if np.issubdtype(a.dtype, np.integer) and a.min() >= 0 and a.max() <= 255:
+            # an empty array has no range to check; __post_init__ rejects it
+            if np.issubdtype(a.dtype, np.integer) and (a.size == 0 or (a.min() >= 0 and a.max() <= 255)):
                 a = a.astype(np.uint8)
             else:
                 raise ValueError(f"expected 8-bit pixels, got dtype {a.dtype}")
@@ -115,6 +116,9 @@ def read_pgm(path) -> ImageGray8:
             continue
         if not header and word != b"P5":
             raise ValueError(f"not a binary PGM (P5) file, magic {word!r}")
+        if header and not re.fullmatch(rb"-?[0-9]+", word):
+            # int() also takes a sign and underscores, which PGM does not; same message
+            raise ValueError(f"invalid literal for int() with base 10: {word!r:.200}")
         header.append(int(word) if header else word)
         if len(header) == 4:
             break
@@ -281,17 +285,16 @@ def encode(
 
     Returns the encoded image and its sparsity report. Each block gets the
     expansion :func:`~sparseimg.pursuit.run_omp` gives it alone. ``trace``
-    collects ``(block_index, k, i, j, abs_corr, sse)`` rows, ordered by block
-    and then by ``k``. A block that cannot meet the threshold raises
+    collects :func:`~sparseimg.pursuit.pursue`'s ``(block_index, k, (i, j),
+    abs_corr, sse)`` rows, ordered by block and then by ``k``. A block that cannot meet the threshold raises
     :class:`~sparseimg.pursuit.PursuitExhaustedError` naming the block.
     """
     L = dict2d.base.block_len
     grid = to_blocks(img.as_float(), L)
     threshold = psnr_to_block_sse(target_db, L)
     rule = StoppingRule(mode="both", sse_threshold=threshold, atom_cap=L * L)
-    steps: list | None = [] if trace is not None else None
     try:
-        results = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=steps)
+        results = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
     except PursuitExhaustedError as exc:
         raise PursuitExhaustedError(f"block {divmod(exc.index, grid.shape[1])}: {exc}", index=exc.index) from exc
     # a block may still miss the threshold when it holds all L * L atoms
@@ -311,8 +314,6 @@ def encode(
         target_psnr=float(target_db),
         blocks=[sparse for sparse, _ in results],
     )
-    if trace is not None:
-        trace.extend((index, k, i, j, corr, sse) for index, k, (i, j), corr, sse in steps)
 
     total_sse = sum(norm**2 for _, norm in results)
     report = SparsityReport(

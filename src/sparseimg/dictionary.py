@@ -297,10 +297,6 @@ class Dictionary2D:
         return len(self.base) ** 2
 
     @property
-    def dim(self) -> int:
-        return self.base.block_len**2
-
-    @property
     def signal_shape(self) -> tuple[int, int]:
         L = self.base.block_len
         return (L, L)

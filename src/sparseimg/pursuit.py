@@ -122,9 +122,11 @@ class SparseBlock:
         return len(self.entries)
 
 
-def _next_capacity(capacity: int, cap: int) -> int:
-    """The capacity a row moves to when it fills ``capacity`` (the first when 0)."""
-    return max(1, min(max(FIRST_CAPACITY, 2 * capacity), cap))
+def _capacity(steps: int, cap: int) -> int:
+    """A row's capacity after ``steps`` steps: 8, 16, 32, ... above ``steps``,
+    at most ``cap``. A row holds at most one atom per step, so this keeps it
+    below capacity until it holds ``cap``."""
+    return max(1, min(cap, max(FIRST_CAPACITY, 1 << steps.bit_length())))
 
 
 def _row_sse(residual: np.ndarray) -> np.ndarray:
@@ -261,7 +263,7 @@ class PursuitState:
         self.selected: list = []
         self.masked: set[int] = set()
         self._dictionary = None  # the dictionary of the accepted atoms
-        self._rows = _Rows(np.zeros(1, dtype=np.intp), signal.reshape(1, -1), _next_capacity(0, self.capacity))
+        self._rows = _Rows(np.zeros(1, dtype=np.intp), signal.reshape(1, -1), _capacity(0, self.capacity))
 
     @property
     def k(self) -> int:
@@ -332,9 +334,11 @@ def orthogonalize_and_update(state: PursuitState, dictionary, address) -> Pursui
     if state.k >= state.capacity:
         raise ValueError(f"pursuit state is full ({state.k} atoms)")
     rows = state._rows
-    # each call is one step; grow at the step counts where a pursued row grows
-    if rows.capacity <= state.k + len(state.masked) < state.capacity:
-        rows = state._rows = rows.take(rows.row, _next_capacity(rows.capacity, state.capacity))
+    # each accepted or masked atom is one step, as for a pursued row; masks
+    # removed by hand never shrink the factor
+    capacity = _capacity(state.k + len(state.masked), state.capacity)
+    if capacity > rows.capacity:
+        rows = state._rows = rows.take(rows.row, capacity)
     if _accept(rows, dictionary, np.array([flat]))[0]:
         state.selected.append(address)
         state._dictionary = dictionary
@@ -379,7 +383,7 @@ def pursue(
     for start in range(0, count, group):
         ids = np.arange(start, min(start + group, count))
         _pursue_group(
-            _Rows(ids, flat_signals[ids], _next_capacity(0, cap)),
+            _Rows(ids, flat_signals[ids], _capacity(0, cap)),
             dictionary, threshold, cap, results, steps,
         )
 
@@ -404,19 +408,16 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
         n_live = np.count_nonzero(rows.live)
         if not n_live:
             return
-        step = rows.tried.shape[1]  # every step tries one candidate per row
+        # every step tries one candidate per row
+        capacity = _capacity(rows.tried.shape[1], cap)
         # Retired rows are dropped when the capacity grows, or once they are
         # the majority; until then the group still computes them. On the
         # benchmark's mixed image they are 2.4-2.7% of the rows computed
         # (0-18% on the other images). Copying the group whenever a row
         # retires ran at 0.84x on mixed and 0.93x on texture (L = 8 tiles),
         # and swap-with-last removal saved only 3 lines of bookkeeping.
-        if rows.capacity <= step < cap:
-            # A row holds at most ``step`` atoms, so growing now keeps every
-            # live row below capacity.
-            rows = rows.take(np.flatnonzero(rows.live), _next_capacity(rows.capacity, cap))
-        elif 2 * n_live < len(rows):
-            rows = rows.take(np.flatnonzero(rows.live), rows.capacity)
+        if capacity != rows.capacity or 2 * n_live < len(rows):
+            rows = rows.take(np.flatnonzero(rows.live), capacity)
         pos, top, picked = _select(rows, dictionary)
         if np.minimum.reduce(top) <= 0.0:
             exhausted = np.flatnonzero(rows.live & (top < 0.0))

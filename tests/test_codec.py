@@ -420,10 +420,11 @@ class TestPgm:
             ([[256, -1]], "8-bit pixels"),
             (np.zeros((0, 3), np.uint8), "no pixels"),
             (np.zeros((0, 3)), "8-bit pixels"),
+            (np.zeros((3, 0), np.int64), "image 0x3 has no pixels"),
             (np.zeros((2, 2, 2), np.uint8), "2D grayscale"),
             (np.zeros(4, np.uint8), "2D grayscale"),
         ],
-        ids=["floats", "float-integers", "ints-outside-0-255", "empty", "empty-float", "3d", "1d"],
+        ids=["floats", "float-integers", "ints-outside-0-255", "empty", "empty-float", "empty-int", "3d", "1d"],
     )
     def test_write_rejects_what_from_array_rejects(self, tmp_path, array, reason):
         # no array is cast to uint8: a cast would write 300.0 as 44 and -1 as 255
@@ -431,6 +432,23 @@ class TestPgm:
         with pytest.raises(ValueError, match=reason):
             write_pgm(path, array)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "header, bad", [(b"P5 +1_6 1 0_255 ", b"+1_6"), (b"P5 1_6 1 255 ", b"1_6"), (b"P5 +16 1 255 ", b"+16")]
+    )
+    def test_header_numbers_are_plain_decimal(self, tmp_path, header, bad):
+        # int() alone would read each of these as a 16x1 image
+        path = tmp_path / "signed.pgm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(ValueError, match=re.escape(f"invalid literal for int() with base 10: {bad!r}")):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("data", [b"", b"P5 16", b"P5\n# c\n4 4"])
+    def test_truncated_header(self, tmp_path, data):
+        path = tmp_path / "header.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_pgm(path)
 
     @pytest.mark.parametrize(
         "data, dims", [(b"P5\n-2 1\n255\n", "-2x1"), (b"P5\n-1 -1\n255\nx", "-1x-1")]

@@ -315,6 +315,23 @@ class TestOrthogonalizeAndUpdate:
             state.coefficients, least_squares_coeffs(md, state.selected, f), atol=1e-10
         )
 
+    def test_masks_added_by_hand_count_as_steps(self):
+        # two masks carry the step count from 7 past 8 at capacity 9; the
+        # factor must still grow to hold the ninth atom
+        rng = np.random.default_rng(5)
+        md = random_dictionary(rng, 9, 30)
+        f = rng.normal(size=9)
+        state = PursuitState(f, capacity=9)
+        for _ in range(7):
+            orthogonalize_and_update(state, md, select_atom(state, md))
+        state.masked |= set(np.setdiff1d(np.arange(30), state.selected)[:2].tolist())
+        while state.k < 9:
+            orthogonalize_and_update(state, md, select_atom(state, md))
+        assert len(state.selected) == len(state.coefficients) == 9
+        np.testing.assert_allclose(
+            state.coefficients, least_squares_coeffs(md, state.selected, f), atol=1e-10
+        )
+
     def test_state_invariants(self):
         rng = np.random.default_rng(3)
         md = random_dictionary(rng, 12, 30)
