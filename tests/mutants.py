@@ -70,8 +70,8 @@ SURVIVORS = [
     (PURSUIT, "if capacity != rows.capacity or 2 * n_live < len(rows):", "if capacity != rows.capacity:",
      "retired rows are compacted only when the capacity grows; they are scratch, so no output changes"),
     (PURSUIT, "if capacity != rows.capacity or 2 * n_live < len(rows):",
-     "if capacity != rows.capacity or n_live < len(rows):",
-     "retired rows are compacted as soon as one retires; they are scratch, so no output changes"),
+     "if capacity != rows.capacity or 4 * n_live < len(rows):",
+     "retired rows are compacted once they are three quarters; they are scratch, so no output changes"),
 ]
 
 

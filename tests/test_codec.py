@@ -434,7 +434,9 @@ class TestPgm:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "header, bad", [(b"P5 +1_6 1 0_255 ", b"+1_6"), (b"P5 1_6 1 255 ", b"1_6"), (b"P5 +16 1 255 ", b"+16")]
+        "header, bad",
+        [(b"P5 +1_6 1 0_255 ", b"+1_6"), (b"P5 1_6 1 255 ", b"1_6"), (b"P5 +16 1 255 ", b"+16")],
+        ids=["signed-underscored", "underscored", "signed"],
     )
     def test_header_numbers_are_plain_decimal(self, tmp_path, header, bad):
         # int() alone would read each of these as a 16x1 image
