@@ -285,8 +285,9 @@ def encode(
 
     Returns the encoded image and its sparsity report. Each block gets the
     expansion :func:`~sparseimg.pursuit.run_omp` gives it alone. ``trace``
-    collects :func:`~sparseimg.pursuit.pursue`'s ``(block_index, k, (i, j),
-    abs_corr, sse)`` rows, ordered by block and then by ``k``. A block that cannot meet the threshold raises
+    collects :func:`~sparseimg.pursuit.pursue`'s rows, ``(block_index, k,
+    (i, j), abs_corr, sse)``, ordered by block and then by ``k``. A block
+    that cannot meet the threshold raises
     :class:`~sparseimg.pursuit.PursuitExhaustedError` naming the block.
     """
     L = dict2d.base.block_len

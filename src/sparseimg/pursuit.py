@@ -334,8 +334,7 @@ def orthogonalize_and_update(state: PursuitState, dictionary, address) -> Pursui
     if state.k >= state.capacity:
         raise ValueError(f"pursuit state is full ({state.k} atoms)")
     rows = state._rows
-    # each accepted or masked atom is one step, as for a pursued row; masks
-    # removed by hand never shrink the factor
+    # one step per accepted or masked atom, as for a pursued row; never shrinks
     capacity = _capacity(state.k + len(state.masked), state.capacity)
     if capacity > rows.capacity:
         rows = state._rows = rows.take(rows.row, capacity)
@@ -408,8 +407,7 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
         n_live = np.count_nonzero(rows.live)
         if not n_live:
             return
-        # every step tries one candidate per row
-        capacity = _capacity(rows.tried.shape[1], cap)
+        capacity = _capacity(rows.tried.shape[1], cap)  # a step tries one candidate per row
         # Retired rows are dropped when the capacity grows, or once they are
         # the majority; until then the group still computes them. On the
         # benchmark's mixed image they are 2.4-2.7% of the rows computed

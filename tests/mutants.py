@@ -21,10 +21,8 @@ import os
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,8 +75,8 @@ SURVIVORS = [
 
 def export_head(dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=BytesIO(archive)) as tar:
-        tar.extractall(dest)
+    dest.mkdir(exist_ok=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def apply(copy: Path, file: str, old: str, new: str) -> None:
