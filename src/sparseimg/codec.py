@@ -27,24 +27,24 @@ compression ratio is the pure sparsity ratio pixels / retained atoms.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import struct
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dictionary import Dictionary2D, DictionaryKind
-from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, pursue
+from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, pursue_columns
 
 MAGIC = b"SIC1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIHBId")
 _COUNT = struct.Struct("<H")
-_ENTRY = struct.Struct("<Id")
+_ENTRY = np.dtype([("flat", "<u4"), ("coeff", "<f8")])  # packed, 12 bytes
 
 # Each block stores its entry count as a u16, and a block of side L keeps up
 # to L * L atoms, so L may not exceed isqrt(MAX_ENTRIES).
@@ -177,29 +177,120 @@ def psnr_to_block_sse(target_db: float, L: int) -> float:
     return L * L * PEAK**2 * 10.0 ** (-target_db / 10.0)
 
 
-@dataclass
 class EncodedImage:
-    """Header plus the sparse expansion of each block of :attr:`grid`, row-major."""
+    """Header plus the sparse expansion of each block of :attr:`grid`, row-major.
 
-    width: int
-    height: int
-    block_size: int
-    kind: DictionaryKind
-    n_base: int
-    target_psnr: float
-    blocks: list[SparseBlock] = field(default_factory=list)
+    The expansions are held as three read-only columns: ``counts``, the atoms
+    of each block; ``flats``, the flat addresses ``i * n_base + j`` of every
+    block's atoms, one block after another; and ``coeffs``, their
+    coefficients. :attr:`blocks` views them as :class:`SparseBlock` objects.
 
-    def __post_init__(self) -> None:
+    ``blocks`` given to the constructor are converted once. An address off
+    the ``n_base`` grid is kept as given, and flat index -1 marks its place:
+    :func:`serialize` and :func:`decode` refuse it by name.
+    """
+
+    def __init__(self, width, height, block_size, kind, n_base, target_psnr, blocks=()):
+        counts, flats, coeffs, strays = [], [], [], {}
+        for sparse in blocks:
+            counts.append(len(sparse.entries))
+            for (i, j), coeff in sparse.entries:
+                if 0 <= i < n_base and 0 <= j < n_base:
+                    flats.append(i * n_base + j)
+                else:
+                    strays[len(flats)] = (i, j)
+                    flats.append(-1)
+                coeffs.append(coeff)
+        self._hold(width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs, strays)
+
+    @classmethod
+    def _from_columns(cls, width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs):
+        """An image whose flats all lie on the ``n_base`` grid."""
+        enc = cls.__new__(cls)
+        enc._hold(width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs, {})
+        return enc
+
+    def _hold(self, width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs, strays):
+        self.width, self.height, self.block_size = width, height, block_size
+        self.kind, self.n_base, self.target_psnr = kind, n_base, target_psnr
+        self.counts = np.ascontiguousarray(counts, dtype=np.intp)
+        self.flats = np.ascontiguousarray(flats, dtype=np.intp)
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+        for column in (self.counts, self.flats, self.coeffs):
+            column.flags.writeable = False
+        self._strays = strays  # position in flats -> the address given there
         rows, cols = self.grid
-        if len(self.blocks) != rows * cols:
+        if len(self.counts) != rows * cols:
             raise ValueError(
-                f"{len(self.blocks)} blocks for a {self.width}x{self.height} image, "
+                f"{len(self.counts)} blocks for a {self.width}x{self.height} image, "
                 f"which has {rows * cols} blocks of {self.block_size}x{self.block_size}"
             )
 
     @property
     def grid(self) -> tuple[int, int]:
         return (self.height // self.block_size, self.width // self.block_size)
+
+    @property
+    def blocks(self) -> "_Blocks":
+        """Read-only view of every block as a :class:`SparseBlock` of
+        ``((i, j), coefficient)`` entries, Python ints and floats, each built
+        when it is read."""
+        return _Blocks(self)
+
+    def _entries(self, start: int, stop: int) -> list:
+        n, strays = self.n_base, self._strays
+        flats, coeffs = self.flats[start:stop].tolist(), self.coeffs[start:stop].tolist()
+        return [
+            (strays[t] if f < 0 else divmod(f, n), c)
+            for t, f, c in zip(range(start, stop), flats, coeffs)
+        ]
+
+    def _header(self) -> tuple:
+        return (self.width, self.height, self.block_size, self.kind, self.n_base, self.target_psnr)
+
+    def __eq__(self, other):
+        if not isinstance(other, EncodedImage):
+            return NotImplemented
+        return (
+            self._header() == other._header()
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.flats, other.flats)
+            and np.array_equal(self.coeffs, other.coeffs)
+            and self._strays == other._strays
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(("width", "height", "block_size", "kind", "n_base", "target_psnr"), self._header())
+        )
+        return f"EncodedImage({fields}, <{len(self.counts)} blocks of {len(self.flats)} atoms>)"
+
+
+class _Blocks(Sequence):
+    """The blocks of an :class:`EncodedImage`, each built as a :class:`SparseBlock` when read."""
+
+    def __init__(self, enc: EncodedImage):
+        self._enc = enc
+        self._ends = np.cumsum(enc.counts)
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[m] for m in range(*n.indices(len(self)))]
+        end = int(self._ends[n])
+        return SparseBlock(self._enc._entries(end - int(self._enc.counts[n]), end))
+
+    def __iter__(self):
+        entries, start = self._enc._entries(0, len(self._enc.flats)), 0
+        for end in self._ends.tolist():
+            yield SparseBlock(entries[start:end])
+            start = end
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, _Blocks)) else NotImplemented
 
 
 @dataclass
@@ -295,36 +386,29 @@ def encode(
     threshold = psnr_to_block_sse(target_db, L)
     rule = StoppingRule(mode="both", sse_threshold=threshold, atom_cap=L * L)
     try:
-        results = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
+        counts, flats, coeffs, sse = pursue_columns(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
     except PursuitExhaustedError as exc:
         raise PursuitExhaustedError(f"block {divmod(exc.index, grid.shape[1])}: {exc}", index=exc.index) from exc
+    norms = np.sqrt(sse)
     # a block may still miss the threshold when it holds all L * L atoms
-    bound = math.sqrt(threshold)
-    if max(norm for _, norm in results) > bound:
-        n = next(n for n, (_, norm) in enumerate(results) if norm > bound)
+    missed = np.flatnonzero(norms > math.sqrt(threshold))
+    if len(missed):
+        n = int(missed[0])
         raise PursuitExhaustedError(
-            f"block {divmod(n, grid.shape[1])}: residual SSE {results[n][1] ** 2:.6g} above threshold "
-            f"{threshold:.6g} with {len(results[n][0])} atoms", index=n)
+            f"block {divmod(n, grid.shape[1])}: residual SSE {float(norms[n]) ** 2:.6g} above threshold "
+            f"{threshold:.6g} with {counts[n]} atoms", index=n)
 
-    enc = EncodedImage(
-        width=img.width,
-        height=img.height,
-        block_size=L,
-        kind=dict2d.base.kind,
-        n_base=dict2d.n_base,
-        target_psnr=float(target_db),
-        blocks=[sparse for sparse, _ in results],
+    enc = EncodedImage._from_columns(
+        img.width, img.height, L, dict2d.base.kind, dict2d.n_base, float(target_db), counts, flats, coeffs
     )
-
-    total_sse = sum(norm**2 for _, norm in results)
     report = SparsityReport(
         image=image_name,
         dictionary=dict2d.base.kind.value,
-        total_atoms=sum(len(sparse) for sparse, _ in results),
+        total_atoms=int(counts.sum()),
         pixel_count=img.width * img.height,
         target_psnr=float(target_db),
-        achieved_psnr=_mse_to_psnr(total_sse / (img.width * img.height)),
-        block_histogram=dict(Counter(len(sparse) for sparse, _ in results)),
+        achieved_psnr=_mse_to_psnr(sum(norm**2 for norm in norms.tolist()) / (img.width * img.height)),
+        block_histogram=dict(Counter(counts.tolist())),
     )
     return enc, report
 
@@ -341,51 +425,72 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
             f"container expects {enc.kind.value} with {enc.n_base} base atoms at block "
             f"{enc.block_size}, dictionary is {base.kind.value} with {dict2d.n_base} at block {base.block_len}"
         )
+    if enc._strays:
+        address = next(iter(enc._strays.values()))  # the first in stream order
+        raise IndexError(f"atom address {address} out of range for {dict2d.n_base} base atoms")
     out = np.zeros((enc.height, enc.width))
     grid = to_blocks(out, enc.block_size)
-    for n, sparse in enumerate(enc.blocks):
-        grid[divmod(n, grid.shape[1])] = dict2d.reconstruct(sparse.entries)
+    counts = enc.counts
+    order = np.argsort(counts, kind="stable")  # the blocks by atom count
+    atoms = np.argsort(np.repeat(counts, counts), kind="stable")  # their atoms, in that order
+    flats, coeffs = enc.flats[atoms], enc.coeffs[atoms]
+    tiles = np.zeros((len(counts),) + grid.shape[2:])
+    ks, firsts = np.unique(counts[order], return_index=True)
+    # One synthesis per distinct atom count, each block at its own: BLAS does
+    # not promise that a sum padded with zero terms rounds as the sum does.
+    start = 0
+    for k, a, b in zip(ks.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(counts)]):
+        stop = start + (b - a) * k
+        tiles[order[a:b]] = dict2d.synthesize(flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k))
+        start = stop
+    grid[...] = tiles.reshape(grid.shape)
     return out
+
+
+def _count_bytes(counts: np.ndarray) -> np.ndarray:
+    """Which bytes of a block stream hold the u16 counts of blocks of
+    ``counts`` entries each."""
+    at = _COUNT.size * np.arange(len(counts)) + _ENTRY.itemsize * (np.cumsum(counts) - counts)
+    mask = np.zeros(_COUNT.size * len(counts) + _ENTRY.itemsize * int(counts.sum()), dtype=bool)
+    mask[at] = mask[at + 1] = True
+    return mask
 
 
 def serialize(enc: EncodedImage) -> bytes:
     if enc.n_base > MAX_N_BASE:
         raise ValueError(f"n_base {enc.n_base} exceeds {MAX_N_BASE}: addresses would overflow u32")
-    buf = io.BytesIO()
-    buf.write(
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            enc.width,
-            enc.height,
-            enc.block_size,
-            enc.kind.wire_code,
-            enc.n_base,
-            enc.target_psnr,
-        )
+    header = _HEADER.pack(
+        MAGIC, VERSION, enc.width, enc.height, enc.block_size, enc.kind.wire_code, enc.n_base, enc.target_psnr
     )
-    for n, sparse in enumerate(enc.blocks):
-        if len(sparse.entries) > MAX_ENTRIES:
-            raise ValueError(
-                f"block {divmod(n, enc.grid[1])} holds {len(sparse.entries)} atoms; "
-                f"a container block holds at most {MAX_ENTRIES}"
-            )
-        buf.write(_COUNT.pack(len(sparse.entries)))
-        for (i, j), coeff in sparse.entries:
+    counts, flats, coeffs = enc.counts, enc.flats, enc.coeffs
+    ends = np.cumsum(counts)
+    # The first fault in stream order: a block's count comes before its
+    # entries, and an entry's address before its coefficient.
+    full = np.flatnonzero(counts > MAX_ENTRIES)
+    bad = np.flatnonzero((flats < 0) | ~(np.abs(coeffs) <= MAX_COEFF))
+    if len(full) and not (len(bad) and bad[0] < ends[full[0]] - counts[full[0]]):
+        n = int(full[0])
+        raise ValueError(
+            f"block {divmod(n, enc.grid[1])} holds {counts[n]} atoms; a container block holds at most {MAX_ENTRIES}"
+        )
+    if len(bad):
+        t = int(bad[0])
+        block = divmod(int(np.searchsorted(ends, t, side="right")), enc.grid[1])
+        if flats[t] < 0:
             # off the n_base x n_base grid, an address would read back as
             # another atom or out of range
-            if not (0 <= i < enc.n_base and 0 <= j < enc.n_base):
-                raise ValueError(
-                    f"block {divmod(n, enc.grid[1])} holds address {(i, j)}, "
-                    f"which has no flat index with n_base {enc.n_base}"
-                )
-            if not -MAX_COEFF <= coeff <= MAX_COEFF:
-                raise ValueError(
-                    f"block {divmod(n, enc.grid[1])} holds coefficient {coeff}, "
-                    f"outside +-{MAX_COEFF:g}"
-                )
-            buf.write(_ENTRY.pack(i * enc.n_base + j, coeff))
-    return buf.getvalue()
+            raise ValueError(
+                f"block {block} holds address {enc._strays[t]}, which has no flat index with n_base {enc.n_base}"
+            )
+        raise ValueError(f"block {block} holds coefficient {float(coeffs[t])}, outside +-{MAX_COEFF:g}")
+
+    entries = np.empty(len(flats), dtype=_ENTRY)
+    entries["flat"], entries["coeff"] = flats, coeffs
+    is_count = _count_bytes(counts)
+    stream = np.empty(len(is_count), dtype=np.uint8)
+    stream[is_count] = counts.astype("<u2").view(np.uint8)
+    stream[~is_count] = entries.view(np.uint8)
+    return header + stream.tobytes()
 
 
 def deserialize(data: bytes) -> EncodedImage:
@@ -413,36 +518,42 @@ def deserialize(data: bytes) -> EncodedImage:
         raise ContainerError(f"block size {block} does not tile {width}x{height}", 14)
     n_blocks = (width // block) * (height // block)
 
-    pos = _HEADER.size
-    blocks = []
+    # Walk the counts, up to the first piece the data cuts short; a fault
+    # there is raised only if every entry before it is good.
+    size, pos, counts, fault = len(data), _HEADER.size, [], None
     for _ in range(n_blocks):
-        if pos + _COUNT.size > len(data):
-            raise ContainerError("block count truncated", pos)
+        if pos + _COUNT.size > size:
+            fault = ContainerError("block count truncated", pos)
+            break
         (count,) = _COUNT.unpack_from(data, pos)
         pos += _COUNT.size
-        entries = []
-        for _ in range(count):
-            if pos + _ENTRY.size > len(data):
-                raise ContainerError("entry truncated", pos)
-            flat, coeff = _ENTRY.unpack_from(data, pos)
-            pos += _ENTRY.size
-            if flat >= n_base * n_base:
-                raise ContainerError(f"atom address {flat} out of range", pos - _ENTRY.size)
-            if not -MAX_COEFF <= coeff <= MAX_COEFF:
-                raise ContainerError(f"coefficient {coeff} out of range", pos - _ENTRY.size + 4)
-            entries.append(((flat // n_base, flat % n_base), coeff))
-        blocks.append(SparseBlock(entries=entries))
-    if pos != len(data):
-        raise ContainerError(f"{len(data) - pos} trailing bytes", pos)
-    return EncodedImage(
-        width=width,
-        height=height,
-        block_size=block,
-        kind=kind,
-        n_base=n_base,
-        target_psnr=target,
-        blocks=blocks,
-    )
+        end = pos + count * _ENTRY.itemsize
+        if end > size:
+            count = (size - pos) // _ENTRY.itemsize
+            end = pos + count * _ENTRY.itemsize
+            fault = ContainerError("entry truncated", end)
+        counts.append(count)
+        pos = end
+        if fault:
+            break
+    else:
+        if pos != size:
+            fault = ContainerError(f"{size - pos} trailing bytes", pos)
+    counts = np.array(counts, dtype=np.intp)
+    stream = np.frombuffer(data, dtype=np.uint8, count=pos - _HEADER.size, offset=_HEADER.size)
+    entries = stream[~_count_bytes(counts)].view(_ENTRY)
+    flats, coeffs = entries["flat"].astype(np.intp), entries["coeff"].copy()
+    bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))
+    if len(bad):
+        t = int(bad[0])
+        at = _HEADER.size + _COUNT.size * int(np.searchsorted(np.cumsum(counts), t, side="right") + 1)
+        at += _ENTRY.itemsize * t
+        if flats[t] >= n_base * n_base:
+            raise ContainerError(f"atom address {flats[t]} out of range", at)
+        raise ContainerError(f"coefficient {float(coeffs[t])} out of range", at + _ENTRY.fields["coeff"][1])
+    if fault is not None:
+        raise fault
+    return EncodedImage._from_columns(width, height, block, kind, n_base, target, counts, flats, coeffs)
 
 
 def write_sic(path, enc: EncodedImage) -> None:

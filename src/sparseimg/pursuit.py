@@ -355,10 +355,34 @@ def pursue(
     """Greedy pursuit of each signal of a stack until the stopping rule fires.
 
     Returns one ``(expansion, residual norm)`` per signal, each the same as
-    :func:`run_omp` gives for that signal alone. Signals are pursued in
-    groups of ``GROUP_ENTRIES // len(dictionary.candidates)``. When ``trace``
-    is a list, one ``(index, k, address, abs_corr, sse)`` tuple is appended
-    per accepted atom, ordered by signal and then by ``k``.
+    :func:`run_omp` gives for that signal alone. These are the results of
+    :func:`pursue_columns`, which fills ``trace`` and raises as documented
+    there.
+    """
+    counts, flats, coeffs, sse = pursue_columns(signals, dictionary, rule, trace)
+    flats, coeffs, ends = flats.tolist(), coeffs.tolist(), np.cumsum(counts).tolist()
+    out = []
+    for start, end, norm in zip([0, *ends], ends, np.sqrt(sse).tolist()):
+        entries = [(dictionary.address_of(f), c) for f, c in zip(flats[start:end], coeffs[start:end])]
+        out.append((SparseBlock(entries=entries), norm))
+    return out
+
+
+def pursue_columns(
+    signals: np.ndarray,
+    dictionary,
+    rule: StoppingRule,
+    trace: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy pursuit of each signal of a stack until the stopping rule fires.
+
+    Returns ``(counts, flats, coeffs, sse)``: the atoms each signal holds,
+    the flat indices and coefficients of every signal's atoms one signal
+    after another, in selection order, and each signal's residual sum of
+    squares. Signals are pursued in groups of ``GROUP_ENTRIES //
+    len(dictionary.candidates)``. When ``trace`` is a list, one ``(index, k,
+    address, abs_corr, sse)`` tuple is appended per accepted atom, ordered by
+    signal and then by ``k``.
 
     Raises :class:`PursuitExhaustedError`, with the signal's ``index``, if
     every atom of a signal gets masked while its threshold is still unmet
@@ -391,11 +415,14 @@ def pursue(
         order = np.lexsort((k, index))
         for t in order.tolist():
             trace.append((int(index[t]), int(k[t]), dictionary.address_of(flat[t]), float(corr[t]), float(sse[t])))
-    out = []
-    for flats, coeffs, sse in results:
-        entries = [(dictionary.address_of(f), c) for f, c in zip(flats, coeffs)]
-        out.append((SparseBlock(entries=entries), float(np.sqrt(sse))))
-    return out
+    flats, coeffs, sse = zip(*results) if results else ((), (), ())
+    counts = np.array([len(f) for f in flats], dtype=np.intp)
+    return (
+        counts,
+        np.concatenate((np.zeros(0, np.intp), *flats)),
+        np.concatenate((np.zeros(0), *coeffs)),
+        np.array(sse, dtype=np.float64),
+    )
 
 
 def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
@@ -440,7 +467,8 @@ def _finish(rows: _Rows, done: np.ndarray, results: list) -> None:
     which = np.flatnonzero(done & rows.live)
     for r in which.tolist():
         k = rows.k[r]
-        results[rows.ids[r]] = (rows.flats[r, :k].tolist(), rows.coeffs[r, :k].tolist(), rows.sse[r])
+        # copies: a view would keep the group's arrays alive
+        results[rows.ids[r]] = (rows.flats[r, :k].copy(), rows.coeffs[r, :k].copy(), rows.sse[r])
     rows.live[which] = False
 
 

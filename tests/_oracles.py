@@ -2,15 +2,33 @@
 
 Everything here recomputes results along a different route than the package:
 exact rational truncated-power sums, dense flattened inner products,
-normal-equations solves, and direct filter-bank convolution.
+normal-equations solves, direct filter-bank convolution, and the ``.sic``
+container written and read one entry at a time.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
+
+from sparseimg import DictionaryKind, EncodedImage, SparseBlock
+from sparseimg.codec import (
+    _HEADER,
+    MAGIC,
+    MAX_BLOCK,
+    MAX_COEFF,
+    MAX_ENTRIES,
+    MAX_N_BASE,
+    VERSION,
+    ContainerError,
+)
+
+_COUNT = struct.Struct("<H")
+_ENTRY = struct.Struct("<Id")
 
 
 def bspline_fraction(m: int, x: Fraction) -> Fraction:
@@ -100,3 +118,104 @@ def cdf97_analysis_2d(img: np.ndarray) -> np.ndarray:
     """Single-level separable 2D 9/7 analysis by direct convolution."""
     out = _analyze_axis0(np.asarray(img, float))
     return _analyze_axis0(out.T).T
+
+
+# The container codec one struct call per count and per entry, each entry
+# checked as it is read or written: the first fault in stream order raises.
+
+
+def serialize(enc: EncodedImage) -> bytes:
+    if enc.n_base > MAX_N_BASE:
+        raise ValueError(f"n_base {enc.n_base} exceeds {MAX_N_BASE}: addresses would overflow u32")
+    buf = io.BytesIO()
+    buf.write(
+        _HEADER.pack(
+            MAGIC,
+            VERSION,
+            enc.width,
+            enc.height,
+            enc.block_size,
+            enc.kind.wire_code,
+            enc.n_base,
+            enc.target_psnr,
+        )
+    )
+    for n, sparse in enumerate(enc.blocks):
+        if len(sparse.entries) > MAX_ENTRIES:
+            raise ValueError(
+                f"block {divmod(n, enc.grid[1])} holds {len(sparse.entries)} atoms; "
+                f"a container block holds at most {MAX_ENTRIES}"
+            )
+        buf.write(_COUNT.pack(len(sparse.entries)))
+        for (i, j), coeff in sparse.entries:
+            # off the n_base x n_base grid, an address would read back as
+            # another atom or out of range
+            if not (0 <= i < enc.n_base and 0 <= j < enc.n_base):
+                raise ValueError(
+                    f"block {divmod(n, enc.grid[1])} holds address {(i, j)}, "
+                    f"which has no flat index with n_base {enc.n_base}"
+                )
+            if not -MAX_COEFF <= coeff <= MAX_COEFF:
+                raise ValueError(
+                    f"block {divmod(n, enc.grid[1])} holds coefficient {coeff}, "
+                    f"outside +-{MAX_COEFF:g}"
+                )
+            buf.write(_ENTRY.pack(i * enc.n_base + j, coeff))
+    return buf.getvalue()
+
+
+def deserialize(data: bytes) -> EncodedImage:
+    if len(data) < _HEADER.size:
+        raise ContainerError("header truncated", len(data))
+    magic, version, width, height, block, code, n_base, target = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise ContainerError(f"bad magic {magic!r}", 0)
+    if version != VERSION:
+        raise ContainerError(f"unsupported container version {version}", 4)
+    if width == 0:
+        raise ContainerError("image width 0", 6)
+    if height == 0:
+        raise ContainerError("image height 0", 10)
+    try:
+        kind = DictionaryKind.from_wire_code(code)
+    except ValueError as exc:
+        raise ContainerError(str(exc), 16) from None
+    if n_base > MAX_N_BASE:
+        raise ContainerError(f"n_base {n_base} exceeds {MAX_N_BASE}", 17)
+    if block > MAX_BLOCK:
+        # no encoder can write it, and decoding would build a dictionary for it
+        raise ContainerError(f"block size {block} exceeds {MAX_BLOCK}", 14)
+    if block == 0 or width % block or height % block:
+        raise ContainerError(f"block size {block} does not tile {width}x{height}", 14)
+    n_blocks = (width // block) * (height // block)
+
+    pos = _HEADER.size
+    blocks = []
+    for _ in range(n_blocks):
+        if pos + _COUNT.size > len(data):
+            raise ContainerError("block count truncated", pos)
+        (count,) = _COUNT.unpack_from(data, pos)
+        pos += _COUNT.size
+        entries = []
+        for _ in range(count):
+            if pos + _ENTRY.size > len(data):
+                raise ContainerError("entry truncated", pos)
+            flat, coeff = _ENTRY.unpack_from(data, pos)
+            pos += _ENTRY.size
+            if flat >= n_base * n_base:
+                raise ContainerError(f"atom address {flat} out of range", pos - _ENTRY.size)
+            if not -MAX_COEFF <= coeff <= MAX_COEFF:
+                raise ContainerError(f"coefficient {coeff} out of range", pos - _ENTRY.size + 4)
+            entries.append(((flat // n_base, flat % n_base), coeff))
+        blocks.append(SparseBlock(entries=entries))
+    if pos != len(data):
+        raise ContainerError(f"{len(data) - pos} trailing bytes", pos)
+    return EncodedImage(
+        width=width,
+        height=height,
+        block_size=block,
+        kind=kind,
+        n_base=n_base,
+        target_psnr=target,
+        blocks=blocks,
+    )

@@ -56,12 +56,28 @@ MUTANTS = [
      "        a = np.asarray(image).astype(np.uint8)\n"
      "        image = ImageGray8(width=a.shape[-1], height=a.shape[0], pixels=a)\n",
      "write_pgm casts any array to uint8, so 300.0 is written as 44"),
-    (CODEC, "    if max(norm for _, norm in results) > bound:", "    if False:",
+    (CODEC, "    if len(missed):", "    if False:",
      "encode keeps a block that holds all L * L atoms and still misses its threshold"),
     (CODEC, 'not re.fullmatch(rb"-?[0-9]+", word)', 'not re.fullmatch(rb"[-+]?[0-9_]+", word)',
      "read_pgm takes header numbers with a sign or underscores, as int() does"),
     (CODEC, "(a.size == 0 or (a.min() >= 0 and a.max() <= 255))", "(a.min() >= 0 and a.max() <= 255)",
      "from_array fails inside numpy on an empty integer array"),
+    (CODEC,
+     "    start = 0\n"
+     "    for k, a, b in zip(ks.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(counts)]):\n"
+     "        stop = start + (b - a) * k\n"
+     "        tiles[order[a:b]] = dict2d.synthesize(flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k))\n"
+     "        start = stop\n",
+     "    k = int(counts.max())\n"
+     "    at = np.minimum((np.cumsum(counts) - counts)[:, None] + np.arange(k), len(enc.flats) - 1)\n"
+     "    real = np.arange(k) < counts[:, None]\n"
+     "    tiles = dict2d.synthesize(np.where(real, enc.flats[at], 0), np.where(real, enc.coeffs[at], 0.0))\n",
+     "decode synthesizes every block at the largest atom count, padded with zero coefficients"),
+    (CODEC, "        t = int(bad[0])\n        at = _HEADER.size", "        t = int(bad[-1])\n        at = _HEADER.size",
+     "deserialize reports the last bad entry instead of the first"),
+    (CODEC, "    bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))",
+     "    bad = np.flatnonzero(flats >= n_base * n_base)",
+     "deserialize no longer checks the coefficient range"),
 ]
 
 SURVIVORS = [

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import struct
@@ -32,10 +33,24 @@ from sparseimg.codec import (
     deserialize,
     read_report,
     serialize,
+    to_blocks,
 )
 from sparseimg.codec import SparsityReport
 
+import _corpus
 from conftest import synthetic_image
+
+
+def retained_bytes(make):
+    """``make()``, and the bytes allocated during the call and still held after it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = make()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPsnr:
@@ -136,7 +151,7 @@ class TestEncode:
 
     def test_peak_memory_is_bounded_by_the_group_budget(self, dict2_cubic16):
         # Noise over texture takes up to ~90 atoms per block. The encoded
-        # entries hold about 2.7 MB. A group holds GROUP_ENTRIES // 8,464 = 15
+        # columns hold about 0.3 MB (20,079 atoms). A group holds GROUP_ENTRIES // 8,464 = 15
         # blocks, each with about 0.35 MB: its rows of the correlation stacks
         # (correlations, magnitudes, target correlations; ~70 KB each) and a
         # factor of up to 128 x 130 doubles (133 KB), briefly twice when it
@@ -153,6 +168,21 @@ class TestEncode:
             tracemalloc.stop()
         assert max(report.block_histogram) > 64
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("L", [16, 8])
+    def test_an_encoded_image_retains_at_most_32_bytes_per_atom(self, L):
+        # Its columns take 16 bytes per atom (flat address and coefficient)
+        # and 8 per block; a tuple per atom took about 150.
+        image = ImageGray8.from_array(_corpus.corpus.make_image("mixed", 1)[:256, :256])
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, L)
+        encode(ImageGray8.from_array(np.zeros((L, L), np.uint8)), d, 40.0)  # first-call set-up
+        (enc, report), encoded = retained_bytes(lambda: encode(image, d, 40.0))
+        payload = serialize(enc)
+        del enc
+        _, parsed = retained_bytes(lambda: deserialize(payload))
+        assert report.total_atoms > 10_000
+        assert encoded <= 32 * report.total_atoms
+        assert parsed <= 32 * report.total_atoms
 
     def test_trace_collects_rows_per_block(self, dict2_linear16, small_image):
         trace = []
@@ -177,6 +207,34 @@ class TestDecode:
         np.testing.assert_allclose(
             decode(enc, dict2_linear16), img.as_float(), atol=1e-6
         )
+
+    @pytest.mark.parametrize("L", [16, 8])
+    def test_is_per_block_reconstruction_byte_for_byte(self, L):
+        enc, _ = _corpus.encoded("mixed", DictionaryKind.DCT2_LINEAR, L)
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, L)
+        want = np.zeros((enc.height, enc.width))
+        grid = to_blocks(want, L)
+        for n, block in enumerate(enc.blocks):
+            grid[divmod(n, grid.shape[1])] = d.reconstruct(block.entries)
+        assert decode(enc, d).tobytes() == want.tobytes()
+
+    def test_synthesizes_each_block_at_its_own_atom_count(self, dict2_linear16, small_image):
+        # BLAS may sum a zero-padded block in another order than the block
+        # itself, so no block is widened to the count of another.
+        enc, _ = encode(small_image, dict2_linear16, 40.0)
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(dict2_linear16, name)
+
+            def synthesize(self, flats, coeffs):
+                calls.append(flats.shape)
+                return dict2_linear16.synthesize(flats, coeffs)
+
+        decode(enc, Recording())
+        assert sorted(k for _, k in calls) == sorted(set(enc.counts.tolist()))
+        assert sum(n for n, _ in calls) == len(enc.counts)
 
     def test_empty_block_is_zero(self, dict2_linear16):
         enc = EncodedImage(
@@ -341,6 +399,44 @@ class TestContainer:
         with pytest.raises(ContainerError, match="block count truncated") as excinfo:
             deserialize(header + struct.pack("<H", 0))
         assert excinfo.value.offset == 31
+
+    def test_a_huge_declared_grid_allocates_nothing_per_block(self):
+        # 65535 x 65535 blocks of 1 x 1 are declared, and one count follows
+        header = struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, 65535, 65535, 1, DictionaryKind.DCT2_LINEAR.wire_code, 86, 40.0
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match="block count truncated") as excinfo:
+                deserialize(header + struct.pack("<H", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.offset == 31
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "entries, cut, message, offset",
+        [
+            # the first of two bad entries; an entry's address before its coefficient
+            ([(0, math.inf), (90 * 86, 1.0)], 0, "coefficient inf out of range", 35),
+            ([(90 * 86, math.nan), (0, math.inf)], 0, "atom address 7740 out of range", 31),
+            # a bad entry before the cut, which is raised only when every entry is good
+            ([(0, 1.0), (0, -1e301), (0, 1.0)], 11, "coefficient -1e+301 out of range", 47),
+            ([(0, 1.0), (0, 1.0), (0, 1.0)], 11, "entry truncated", 55),
+        ],
+    )
+    def test_the_first_fault_in_stream_order_is_raised(self, entries, cut, message, offset):
+        # a 16x16 image at L = 8 has four blocks: the first holds every entry,
+        # and a cut of 11 bytes ends the data inside its last entry
+        header = struct.pack(
+            "<4sHIIHBId", b"SIC1", 1, 16, 16, 8, DictionaryKind.DCT2_LINEAR.wire_code, 86, 40.0
+        )
+        data = header + struct.pack("<H", len(entries)) + b"".join(struct.pack("<Id", *e) for e in entries)
+        data += struct.pack("<3H", 0, 0, 0)
+        with pytest.raises(ContainerError, match=re.escape(message)) as excinfo:
+            deserialize(data[: len(data) - cut] if cut else data)
+        assert excinfo.value.offset == offset
 
     def test_n_base_above_the_limit_is_value_error(self):
         # flat address 69999 * 70000 + 69999 does not fit the u32 entry field
