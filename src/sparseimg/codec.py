@@ -31,7 +31,7 @@ import math
 import re
 import struct
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,7 +190,16 @@ class EncodedImage:
     :func:`serialize` and :func:`decode` refuse it by name.
     """
 
-    def __init__(self, width, height, block_size, kind, n_base, target_psnr, blocks=()):
+    def __init__(
+        self,
+        width: int,
+        height: int,
+        block_size: int,
+        kind: DictionaryKind,
+        n_base: int,
+        target_psnr: float,
+        blocks: Iterable[SparseBlock] = (),
+    ):
         counts, flats, coeffs, strays = [], [], [], {}
         for sparse in blocks:
             counts.append(len(sparse.entries))
@@ -534,7 +543,7 @@ def deserialize(data: bytes) -> EncodedImage:
             fault = ContainerError("entry truncated", end)
         counts.append(count)
         pos = end
-        if fault:
+        if fault is not None:
             break
     else:
         if pos != size:
