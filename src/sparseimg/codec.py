@@ -31,14 +31,14 @@ import math
 import re
 import struct
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dictionary import Dictionary2D, DictionaryKind
-from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, pursue_columns
+from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, pursue
 
 MAGIC = b"SIC1"
 VERSION = 1
@@ -185,55 +185,40 @@ class EncodedImage:
     block's atoms, one block after another; and ``coeffs``, their
     coefficients. :attr:`blocks` views them as :class:`SparseBlock` objects.
 
-    ``blocks`` given to the constructor are converted once. An address off
-    the ``n_base`` grid is kept as given, and flat index -1 marks its place:
-    :func:`serialize` and :func:`decode` refuse it by name.
+    The constructor raises ``ValueError`` unless there is one count per block
+    of the grid, no count is negative, the counts sum to the length of both
+    ``flats`` and ``coeffs``, and every flat lies in ``[0, n_base**2)``; the
+    message names the first bad block. :func:`serialize` checks the
+    coefficients.
     """
 
     def __init__(
-        self,
-        width: int,
-        height: int,
-        block_size: int,
-        kind: DictionaryKind,
-        n_base: int,
-        target_psnr: float,
-        blocks: Iterable[SparseBlock] = (),
+        self, width: int, height: int, block_size: int, kind: DictionaryKind, n_base: int, target_psnr: float,
+        counts, flats, coeffs
     ):
-        counts, flats, coeffs, strays = [], [], [], {}
-        for sparse in blocks:
-            counts.append(len(sparse.entries))
-            for (i, j), coeff in sparse.entries:
-                if 0 <= i < n_base and 0 <= j < n_base:
-                    flats.append(i * n_base + j)
-                else:
-                    strays[len(flats)] = (i, j)
-                    flats.append(-1)
-                coeffs.append(coeff)
-        self._hold(width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs, strays)
-
-    @classmethod
-    def _from_columns(cls, width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs):
-        """An image whose flats all lie on the ``n_base`` grid."""
-        enc = cls.__new__(cls)
-        enc._hold(width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs, {})
-        return enc
-
-    def _hold(self, width, height, block_size, kind, n_base, target_psnr, counts, flats, coeffs, strays):
         self.width, self.height, self.block_size = width, height, block_size
         self.kind, self.n_base, self.target_psnr = kind, n_base, target_psnr
-        self.counts = np.ascontiguousarray(counts, dtype=np.intp)
-        self.flats = np.ascontiguousarray(flats, dtype=np.intp)
-        self.coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        for column in (self.counts, self.flats, self.coeffs):
+        self.counts = counts = np.ascontiguousarray(counts, dtype=np.intp)
+        self.flats = flats = np.ascontiguousarray(flats, dtype=np.intp)
+        self.coeffs = coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+        for column in (counts, flats, coeffs):
             column.flags.writeable = False
-        self._strays = strays  # position in flats -> the address given there
+        # whole-array checks; the bad block is looked for only on failure
         rows, cols = self.grid
-        if len(self.counts) != rows * cols:
+        if len(counts) != rows * cols:
             raise ValueError(
-                f"{len(self.counts)} blocks for a {self.width}x{self.height} image, "
+                f"{len(counts)} blocks for a {self.width}x{self.height} image, "
                 f"which has {rows * cols} blocks of {self.block_size}x{self.block_size}"
             )
+        if len(counts) and counts.min() < 0:
+            n = int(np.argmax(counts < 0))
+            raise ValueError(f"block {divmod(n, cols)} has {counts[n]} atoms")
+        if counts.sum() != len(flats) or len(flats) != len(coeffs):
+            raise ValueError(f"{counts.sum()} atoms counted, {len(flats)} flats and {len(coeffs)} coefficients given")
+        if len(flats) and (flats.min() < 0 or int(flats.max()) >= n_base * n_base):
+            t = int(np.argmax((flats < 0) | (flats >= n_base * n_base)))
+            n = int(np.searchsorted(np.cumsum(counts), t, side="right"))
+            raise ValueError(f"block {divmod(n, cols)} holds flat address {flats[t]}, outside [0, {n_base * n_base})")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -247,12 +232,8 @@ class EncodedImage:
         return _Blocks(self)
 
     def _entries(self, start: int, stop: int) -> list:
-        n, strays = self.n_base, self._strays
-        flats, coeffs = self.flats[start:stop].tolist(), self.coeffs[start:stop].tolist()
-        return [
-            (strays[t] if f < 0 else divmod(f, n), c)
-            for t, f, c in zip(range(start, stop), flats, coeffs)
-        ]
+        n = self.n_base
+        return [(divmod(f, n), c) for f, c in zip(self.flats[start:stop].tolist(), self.coeffs[start:stop].tolist())]
 
     def _header(self) -> tuple:
         return (self.width, self.height, self.block_size, self.kind, self.n_base, self.target_psnr)
@@ -260,12 +241,13 @@ class EncodedImage:
     def __eq__(self, other):
         if not isinstance(other, EncodedImage):
             return NotImplemented
+        # nan equals nan here, so that every image equals itself
         return (
-            self._header() == other._header()
+            self._header()[:-1] == other._header()[:-1]
+            and np.array_equal(self.target_psnr, other.target_psnr, equal_nan=True)
             and np.array_equal(self.counts, other.counts)
             and np.array_equal(self.flats, other.flats)
-            and np.array_equal(self.coeffs, other.coeffs)
-            and self._strays == other._strays
+            and np.array_equal(self.coeffs, other.coeffs, equal_nan=True)
         )
 
     def __repr__(self) -> str:
@@ -395,7 +377,7 @@ def encode(
     threshold = psnr_to_block_sse(target_db, L)
     rule = StoppingRule(mode="both", sse_threshold=threshold, atom_cap=L * L)
     try:
-        counts, flats, coeffs, sse = pursue_columns(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
+        counts, flats, coeffs, sse = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
     except PursuitExhaustedError as exc:
         raise PursuitExhaustedError(f"block {divmod(exc.index, grid.shape[1])}: {exc}", index=exc.index) from exc
     norms = np.sqrt(sse)
@@ -407,7 +389,7 @@ def encode(
             f"block {divmod(n, grid.shape[1])}: residual SSE {float(norms[n]) ** 2:.6g} above threshold "
             f"{threshold:.6g} with {counts[n]} atoms", index=n)
 
-    enc = EncodedImage._from_columns(
+    enc = EncodedImage(
         img.width, img.height, L, dict2d.base.kind, dict2d.n_base, float(target_db), counts, flats, coeffs
     )
     report = SparsityReport(
@@ -434,9 +416,6 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
             f"container expects {enc.kind.value} with {enc.n_base} base atoms at block "
             f"{enc.block_size}, dictionary is {base.kind.value} with {dict2d.n_base} at block {base.block_len}"
         )
-    if enc._strays:
-        address = next(iter(enc._strays.values()))  # the first in stream order
-        raise IndexError(f"atom address {address} out of range for {dict2d.n_base} base atoms")
     out = np.zeros((enc.height, enc.width))
     grid = to_blocks(out, enc.block_size)
     counts = enc.counts
@@ -473,10 +452,9 @@ def serialize(enc: EncodedImage) -> bytes:
     )
     counts, flats, coeffs = enc.counts, enc.flats, enc.coeffs
     ends = np.cumsum(counts)
-    # The first fault in stream order: a block's count comes before its
-    # entries, and an entry's address before its coefficient.
+    # The first fault in stream order: a block's count comes before its entries.
     full = np.flatnonzero(counts > MAX_ENTRIES)
-    bad = np.flatnonzero((flats < 0) | ~(np.abs(coeffs) <= MAX_COEFF))
+    bad = np.flatnonzero(~(np.abs(coeffs) <= MAX_COEFF))
     if len(full) and not (len(bad) and bad[0] < ends[full[0]] - counts[full[0]]):
         n = int(full[0])
         raise ValueError(
@@ -485,12 +463,6 @@ def serialize(enc: EncodedImage) -> bytes:
     if len(bad):
         t = int(bad[0])
         block = divmod(int(np.searchsorted(ends, t, side="right")), enc.grid[1])
-        if flats[t] < 0:
-            # off the n_base x n_base grid, an address would read back as
-            # another atom or out of range
-            raise ValueError(
-                f"block {block} holds address {enc._strays[t]}, which has no flat index with n_base {enc.n_base}"
-            )
         raise ValueError(f"block {block} holds coefficient {float(coeffs[t])}, outside +-{MAX_COEFF:g}")
 
     entries = np.empty(len(flats), dtype=_ENTRY)
@@ -562,7 +534,7 @@ def deserialize(data: bytes) -> EncodedImage:
         raise ContainerError(f"coefficient {float(coeffs[t])} out of range", at + _ENTRY.fields["coeff"][1])
     if fault is not None:
         raise fault
-    return EncodedImage._from_columns(width, height, block, kind, n_base, target, counts, flats, coeffs)
+    return EncodedImage(width, height, block, kind, n_base, target, counts, flats, coeffs)
 
 
 def write_sic(path, enc: EncodedImage) -> None:

@@ -31,7 +31,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -268,10 +268,9 @@ class Dictionary2D:
     the pair ``(i, j)`` or by the row-major flat index ``i * n + j``.
 
     ``candidates`` lists, in increasing order, the flat indices that pursuit
-    searches: the atoms whose two factors are both canonical. ``redundant``
-    is the complement, the atoms equal to an atom with a smaller address,
-    which pursuit never selects: with exact ties between such twins the
-    argmax would be settled by rounding.
+    searches: the atoms whose two factors are both canonical. Pursuit never
+    selects the others, each equal to an atom with a smaller address: with
+    exact ties between such twins the argmax would be settled by rounding.
 
     The pursuit methods (``correlate``, ``analyze``, ``gram``,
     ``synthesize``) work on stacks of signals or atom lists, one per
@@ -283,10 +282,8 @@ class Dictionary2D:
     def __init__(self, base: Dictionary1D):
         self.base = base
         self.n_base = n = len(base)
-        twin = base.canonical != np.arange(n)
-        canonical = np.flatnonzero(~twin)
+        canonical = np.flatnonzero(base.canonical == np.arange(n))
         self.candidates = _readonly((canonical[:, None] * n + canonical[None, :]).ravel())
-        self.redundant = _readonly(np.flatnonzero(twin[:, None] | twin[None, :]))
         # 1D atoms as rows, for gathers; the canonical ones as columns and rows.
         self._rows = _readonly(np.ascontiguousarray(base.matrix.T))
         self._search = _readonly(np.ascontiguousarray(base.matrix[:, canonical]))
@@ -348,12 +345,6 @@ class Dictionary2D:
         I, J = np.divmod(flats, self.n_base)
         left = self._rows.take(I, axis=0) * coeffs[..., None]
         return np.matmul(left.swapaxes(-1, -2), self._rows.take(J, axis=0))
-
-    def reconstruct(self, entries: Iterable[tuple[tuple[int, int], float]]) -> np.ndarray:
-        """Sum of ``coeff * u_i v_j^T`` over ``((i, j), coeff)`` entries."""
-        entries = list(entries)
-        flats = np.array([self.flat_index(address) for address, _ in entries], dtype=np.intp)
-        return self.synthesize(flats, np.array([coeff for _, coeff in entries], dtype=np.float64))
 
 
 def correlate_all(dict2d: Dictionary2D, block: np.ndarray) -> np.ndarray:
@@ -427,11 +418,6 @@ class MatrixDictionary:
     def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``: ``M[:, I] c``."""
         return np.matmul(coeffs[..., None, :], self._rows[flats])[..., 0, :]
-
-    def reconstruct(self, entries: Iterable[tuple[int, float]]) -> np.ndarray:
-        entries = list(entries)
-        flats = np.array([self.flat_index(idx) for idx, _ in entries], dtype=np.intp)
-        return self.synthesize(flats, np.array([coeff for _, coeff in entries], dtype=np.float64))
 
 
 DUMP_COLUMNS = ("family", "sub_dict", "label", "support_start", "support_len")

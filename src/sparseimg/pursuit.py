@@ -38,6 +38,7 @@ on a group of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,9 +306,9 @@ def select_atom(state: PursuitState, dictionary) -> object:
     """Address of the candidate atom maximizing ``|<atom, residual>|``.
 
     Masked atoms, already-accepted atoms and the atoms that are not
-    candidates (the dictionary's ``redundant`` twins of a smaller address)
-    are excluded; among atoms whose correlations tie within ``TIE_TOL`` the
-    smallest address wins. Raises :class:`PursuitExhaustedError` when no
+    candidates (twins of an atom with a smaller address) are excluded;
+    among atoms whose correlations tie within ``TIE_TOL`` the smallest
+    address wins. Raises :class:`PursuitExhaustedError` when no
     candidate remains. With an all-zero residual the correlation maximum is
     zero and the tie rule picks the smallest address.
     """
@@ -351,36 +352,15 @@ def pursue(
     dictionary,
     rule: StoppingRule,
     trace: list | None = None,
-) -> list[tuple[SparseBlock, float]]:
-    """Greedy pursuit of each signal of a stack until the stopping rule fires.
-
-    Returns one ``(expansion, residual norm)`` per signal, each the same as
-    :func:`run_omp` gives for that signal alone. These are the results of
-    :func:`pursue_columns`, which fills ``trace`` and raises as documented
-    there.
-    """
-    counts, flats, coeffs, sse = pursue_columns(signals, dictionary, rule, trace)
-    flats, coeffs, ends = flats.tolist(), coeffs.tolist(), np.cumsum(counts).tolist()
-    out = []
-    for start, end, norm in zip([0, *ends], ends, np.sqrt(sse).tolist()):
-        entries = [(dictionary.address_of(f), c) for f, c in zip(flats[start:end], coeffs[start:end])]
-        out.append((SparseBlock(entries=entries), norm))
-    return out
-
-
-def pursue_columns(
-    signals: np.ndarray,
-    dictionary,
-    rule: StoppingRule,
-    trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Greedy pursuit of each signal of a stack until the stopping rule fires.
 
     Returns ``(counts, flats, coeffs, sse)``: the atoms each signal holds,
     the flat indices and coefficients of every signal's atoms one signal
     after another, in selection order, and each signal's residual sum of
-    squares. Signals are pursued in groups of ``GROUP_ENTRIES //
-    len(dictionary.candidates)``. When ``trace`` is a list, one ``(index, k,
+    squares; each signal's are what :func:`run_omp` gives it alone. Signals
+    are pursued in groups of ``GROUP_ENTRIES // len(dictionary.candidates)``.
+    When ``trace`` is a list, one ``(index, k,
     address, abs_corr, sse)`` tuple is appended per accepted atom, ordered by
     signal and then by ``k``.
 
@@ -490,7 +470,8 @@ def run_omp(
     progress is possible.
     """
     rows: list | None = [] if trace is not None else None
-    (result,) = pursue(np.asarray(signal)[None], dictionary, rule, trace=rows)
+    _, flats, coeffs, sse = pursue(np.asarray(signal)[None], dictionary, rule, trace=rows)
     if trace is not None:
         trace.extend(row[1:] for row in rows)
-    return result
+    entries = [(dictionary.address_of(f), c) for f, c in zip(flats.tolist(), coeffs.tolist())]
+    return SparseBlock(entries), math.sqrt(sse[0])

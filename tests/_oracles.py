@@ -217,5 +217,7 @@ def deserialize(data: bytes) -> EncodedImage:
         kind=kind,
         n_base=n_base,
         target_psnr=target,
-        blocks=blocks,
+        counts=[len(sparse.entries) for sparse in blocks],
+        flats=[i * n_base + j for sparse in blocks for (i, j), _ in sparse.entries],
+        coeffs=[coeff for sparse in blocks for _, coeff in sparse.entries],
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparseimg
-from sparseimg import DictionaryKind, EncodedImage, SparseBlock, assemble_dictionary, psnr, read_pgm, write_pgm
+from sparseimg import DictionaryKind, EncodedImage, assemble_dictionary, psnr, read_pgm, write_pgm
 from sparseimg.codec import serialize
 from sparseimg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -268,7 +268,7 @@ class TestDecodeCommand:
     def test_impossible_container_is_io_error(self, tmp_path, capsys, block, n_base):
         # both headers parse, but no dictionary has that block or atom count
         grid = (32 // block) ** 2
-        enc = EncodedImage(32, 32, block, DictionaryKind.DCT2_LINEAR, n_base, 40.0, [SparseBlock()] * grid)
+        enc = EncodedImage(32, 32, block, DictionaryKind.DCT2_LINEAR, n_base, 40.0, [0] * grid, [], [])
         sic = tmp_path / "bad.sic"
         sic.write_bytes(serialize(enc))
         code = run(["decode", str(sic)])
@@ -298,7 +298,7 @@ class TestDecodeCommand:
         assert list(tmp_path.iterdir()) == [sic]
 
     def test_block_above_the_container_limit_is_io_error(self, tmp_path, capsys):
-        enc = EncodedImage(256, 256, 256, DictionaryKind.DCT2_LINEAR, 86, 40.0, [SparseBlock()])
+        enc = EncodedImage(256, 256, 256, DictionaryKind.DCT2_LINEAR, 86, 40.0, [0], [], [])
         sic = tmp_path / "bad.sic"
         sic.write_bytes(serialize(enc))
         code = run(["decode", str(sic)])
@@ -329,7 +329,7 @@ class TestDecodeCommand:
         # could succeed lazily, and the decode would then touch every block.
         resource = pytest.importorskip("resource")
         n_base = len(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 255))
-        enc = EncodedImage(65535, 65535, 255, DictionaryKind.DCT2_LINEAR, n_base, 40.0, [SparseBlock()] * 257**2)
+        enc = EncodedImage(65535, 65535, 255, DictionaryKind.DCT2_LINEAR, n_base, 40.0, [0] * 257**2, [], [])
         sic = tmp_path / "huge.sic"
         sic.write_bytes(serialize(enc))
         src = str(Path(sparseimg.__file__).resolve().parent.parent)

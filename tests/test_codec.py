@@ -12,7 +12,6 @@ from sparseimg import (
     DictionaryKind,
     EncodedImage,
     ImageGray8,
-    SparseBlock,
     StoppingRule,
     assemble_dictionary,
     decode,
@@ -215,7 +214,8 @@ class TestDecode:
         want = np.zeros((enc.height, enc.width))
         grid = to_blocks(want, L)
         for n, block in enumerate(enc.blocks):
-            grid[divmod(n, grid.shape[1])] = d.reconstruct(block.entries)
+            flats = np.array([d.flat_index(address) for address, _ in block.entries], dtype=np.intp)
+            grid[divmod(n, grid.shape[1])] = d.synthesize(flats, np.array([c for _, c in block.entries]))
         assert decode(enc, d).tobytes() == want.tobytes()
 
     def test_synthesizes_each_block_at_its_own_atom_count(self, dict2_linear16, small_image):
@@ -244,7 +244,9 @@ class TestDecode:
             kind=DictionaryKind.DCT2_LINEAR,
             n_base=86,
             target_psnr=40.0,
-            blocks=[SparseBlock()],
+            counts=[0],
+            flats=[],
+            coeffs=[],
         )
         np.testing.assert_array_equal(decode(enc, dict2_linear16), np.zeros((16, 16)))
 
@@ -262,7 +264,7 @@ class TestDecode:
         ],
     )
     def test_mismatch_names_both_sides(self, dict2_linear16, kind, n_base, block, expects):
-        enc = EncodedImage(16, 16, block, kind, n_base, 40.0, [SparseBlock()] * (16 // block) ** 2)
+        enc = EncodedImage(16, 16, block, kind, n_base, 40.0, [0] * (16 // block) ** 2, [], [])
         message = f"container expects {expects}, dictionary is dct2_linear with 86 at block 16"
         with pytest.raises(DictionaryMismatchError, match=re.escape(message)):
             decode(enc, dict2_linear16)
@@ -341,7 +343,9 @@ class TestContainer:
             kind=DictionaryKind.DCT2_LINEAR,
             n_base=86,
             target_psnr=40.0,
-            blocks=[SparseBlock()],
+            counts=[0],
+            flats=[],
+            coeffs=[],
         )
         payload = serialize(enc)
         assert len(payload) == 31
@@ -349,20 +353,57 @@ class TestContainer:
             deserialize(payload)
         assert excinfo.value.offset == 14
 
-    @pytest.mark.parametrize("address", [(0, 90), (1, 86), (0, -1), (-1, 5), (86, 0), (90, 0)])
+    @pytest.mark.parametrize("address", [(0, -1), (-1, 5), (-1, 0), (86, 0), (85, 86), (90, 0)])
     def test_address_that_would_read_back_as_another_atom(self, address):
-        # with n_base 86, (0, 90) would be written as flat 90 and read back as (1, 4)
-        enc = EncodedImage(
-            width=32,
-            height=16,
-            block_size=16,
-            kind=DictionaryKind.DCT2_LINEAR,
-            n_base=86,
-            target_psnr=40.0,
-            blocks=[SparseBlock(), SparseBlock(entries=[((0, 0), 1.0), (address, 2.0)])],
-        )
-        with pytest.raises(ValueError, match=re.escape(f"block (0, 1) holds address {address}")):
-            serialize(enc)
+        # off the 86 x 86 grid, each (i, j) has a flat index i * 86 + j outside
+        # [0, 86**2), which would not read back as (i, j)
+        flat = address[0] * 86 + address[1]
+        with pytest.raises(ValueError, match=re.escape(f"block (0, 1) holds flat address {flat}, outside [0, 7396)")):
+            EncodedImage(32, 16, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [0, 2], [0, flat], [1.0, 2.0])
+
+    @pytest.mark.parametrize("flat", [-1, 2**32])
+    def test_a_flat_that_a_u32_would_wrap_is_rejected(self, flat):
+        # with n_base MAX_N_BASE, flat -1 would be written as 2**32 - 1 and read
+        # back as atom (65535, 65535), and flat 2**32 as atom (0, 0)
+        with pytest.raises(ValueError, match=re.escape(f"block (0, 0) holds flat address {flat}, outside [0, {2**32})")):
+            EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, MAX_N_BASE, 40.0, [1], [flat], [1.0])
+
+    def test_a_bad_flat_names_the_first_bad_block(self):
+        # 2x2 blocks; the first bad flat sits in block (1, 0), after an empty block
+        with pytest.raises(ValueError, match=re.escape("block (1, 0) holds flat address 7396")):
+            EncodedImage(32, 32, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [1, 0, 2, 1], [5, 6, 7396, -1], [1.0] * 4)
+
+    @pytest.mark.parametrize("counts", [[-1, 2], [2, -1, 0, 0], [0, 2, 2, -3]])
+    def test_a_negative_count_is_rejected(self, counts):
+        # the counts still sum to the one flat, so only the sign check can refuse them
+        grid = len(counts)
+        n = next(n for n, c in enumerate(counts) if c < 0)
+        with pytest.raises(ValueError, match=re.escape(f"block {divmod(n, grid // 2)} has {counts[n]} atoms")):
+            EncodedImage(32, 16 * grid // 2, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, counts, [7], [1.0])
+
+    @pytest.mark.parametrize("counts, flats, coeffs", [
+        ([1, 1], [0], [1.0]),
+        ([1, 0], [0, 1], [1.0, 2.0]),
+        ([1, 1], [0, 1], [1.0]),
+        ([1, 1], [0], [1.0, 2.0]),
+    ])
+    def test_the_counts_must_sum_to_the_columns(self, counts, flats, coeffs):
+        with pytest.raises(ValueError, match=f"{sum(counts)} atoms counted, {len(flats)} flats and {len(coeffs)} coeff"):
+            EncodedImage(32, 16, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, counts, flats, coeffs)
+
+    def test_the_columns_are_read_only(self):
+        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [1], [3], [1.0])
+        for column in (enc.counts, enc.flats, enc.coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_a_nan_target_equals_itself(self):
+        # a container may carry any f64 target, and deserialize keeps it
+        data = struct.pack("<4sHIIHBId", b"SIC1", 1, 16, 16, 16, 1, 86, math.nan) + struct.pack("<H", 0)
+        assert deserialize(data) == deserialize(data)
+        enc = deserialize(data)
+        assert enc == enc
+        assert deserialize(data) != deserialize(data[:-10] + struct.pack("<dH", 40.0, 0))
 
     @pytest.mark.parametrize("coeff", [math.nan, math.inf, -1e301])
     def test_coefficient_that_would_not_read_back(self, coeff):
@@ -373,7 +414,9 @@ class TestContainer:
             kind=DictionaryKind.DCT2_LINEAR,
             n_base=86,
             target_psnr=40.0,
-            blocks=[SparseBlock(entries=[((0, 0), coeff)])],
+            counts=[1],
+            flats=[0],
+            coeffs=[coeff],
         )
         with pytest.raises(ValueError, match=re.escape(f"block (0, 0) holds coefficient {coeff}")):
             serialize(enc)
@@ -388,7 +431,9 @@ class TestContainer:
                 kind=DictionaryKind.DCT2_LINEAR,
                 n_base=86,
                 target_psnr=40.0,
-                blocks=[SparseBlock()],
+                counts=[0],
+                flats=[],
+                coeffs=[],
             )
 
     def test_block_count_truncated(self):
@@ -440,7 +485,7 @@ class TestContainer:
 
     def test_n_base_above_the_limit_is_value_error(self):
         # flat address 69999 * 70000 + 69999 does not fit the u32 entry field
-        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, 70000, 40.0, [SparseBlock([((69999, 69999), 1.0)])])
+        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, 70000, 40.0, [1], [70000**2 - 1], [1.0])
         with pytest.raises(ValueError, match=f"n_base 70000 exceeds {MAX_N_BASE}"):
             serialize(enc)
 
@@ -454,7 +499,7 @@ class TestContainer:
 
     def test_n_base_at_the_limit_round_trips_its_last_address(self):
         last = MAX_N_BASE - 1
-        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, MAX_N_BASE, 40.0, [SparseBlock([((last, last), 1.0)])])
+        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, MAX_N_BASE, 40.0, [1], [last * MAX_N_BASE + last], [1.0])
         payload = serialize(enc)
         assert struct.unpack_from("<I", payload, 31) == (2**32 - 1,)
         assert deserialize(payload) == enc
@@ -467,7 +512,9 @@ class TestContainer:
             kind=DictionaryKind.DCT2_LINEAR,
             n_base=1,
             target_psnr=40.0,
-            blocks=[SparseBlock(), SparseBlock(entries=[((0, 0), 1.0)] * (MAX_ENTRIES + 1))],
+            counts=[0, MAX_ENTRIES + 1],
+            flats=[0] * (MAX_ENTRIES + 1),
+            coeffs=[1.0] * (MAX_ENTRIES + 1),
         )
         with pytest.raises(ValueError, match=r"block \(0, 1\) holds 65536 atoms"):
             serialize(enc)

@@ -303,16 +303,19 @@ class TestDictionary2D:
     @pytest.mark.parametrize("L, n_distinct", [(16, 80), (8, 40)])
     def test_redundant_addresses_have_a_twin_factor(self, L, n_distinct):
         d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
-        assert len(d.redundant) == d.n_atoms - n_distinct**2
+        redundant = np.setdiff1d(np.arange(d.n_atoms), d.candidates)
+        assert len(redundant) == d.n_atoms - n_distinct**2
         canonical = d.base.canonical
-        for flat in d.redundant:
+        for flat in redundant:
             i, j = d.address_of(flat)
             assert canonical[i] != i or canonical[j] != j
 
     def test_stacked_correlate_covers_the_candidates_in_order(self, dict2_cubic16):
         d = dict2_cubic16
         assert np.all(np.diff(d.candidates) > 0)
-        assert np.array_equal(np.union1d(d.candidates, d.redundant), np.arange(d.n_atoms))
+        # both factors of every candidate are canonical; the other atoms have a twin factor
+        I, J = np.divmod(d.candidates, d.n_base)
+        assert np.array_equal(d.base.canonical[I], I) and np.array_equal(d.base.canonical[J], J)
         blocks = np.random.default_rng(23).normal(size=(3, 16, 16))
         for block, row in zip(blocks, d.correlate(blocks)):
             np.testing.assert_allclose(row, correlate_all(d, block).ravel()[d.candidates], atol=1e-12)
@@ -329,11 +332,11 @@ class TestDictionary2D:
             dict2_cubic16.synthesize(flats, coeffs).ravel(), coeffs @ dense[flats], atol=1e-13
         )
 
-    def test_reconstruct_matches_outer_products(self, dict2_linear16):
+    def test_synthesize_matches_outer_products(self, dict2_linear16):
         U = dict2_linear16.base.matrix
-        entries = [((2, 5), 1.5), ((40, 3), -0.25)]
+        flats = np.array([dict2_linear16.flat_index((2, 5)), dict2_linear16.flat_index((40, 3))])
         expected = 1.5 * np.outer(U[:, 2], U[:, 5]) - 0.25 * np.outer(U[:, 40], U[:, 3])
-        np.testing.assert_allclose(dict2_linear16.reconstruct(entries), expected, atol=1e-15)
+        np.testing.assert_allclose(dict2_linear16.synthesize(flats, np.array([1.5, -0.25])), expected, atol=1e-15)
 
 
 class TestDumpCsv:

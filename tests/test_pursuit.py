@@ -25,6 +25,18 @@ def toy_dictionary():
     return MatrixDictionary(np.array([[1.0, 1.0 / np.sqrt(2)], [0.0, 1.0 / np.sqrt(2)]]))
 
 
+def per_signal(counts, *columns):
+    """Each signal's slice of each of ``pursue``'s per-atom columns."""
+    ends = np.cumsum(counts)[:-1]
+    return zip(*(np.split(column, ends) for column in columns))
+
+
+def synthesis(dictionary, block):
+    """The sum of ``block``'s atoms times their coefficients."""
+    flats = np.array([dictionary.flat_index(address) for address, _ in block.entries], dtype=np.intp)
+    return dictionary.synthesize(flats, np.array([c for _, c in block.entries]))
+
+
 def random_dictionary(rng, dim, n_atoms):
     atoms = rng.normal(size=(dim, n_atoms))
     return MatrixDictionary(atoms / np.linalg.norm(atoms, axis=0))
@@ -131,9 +143,10 @@ class TestTieWindow:
         rule = StoppingRule("max_atoms", atom_cap=1)
         others = np.random.default_rng(3).normal(size=(4, 3))
         for stack in (f[None], np.vstack([others, f]), np.vstack([f, others, f])):
-            for (block, _), signal in zip(pursue(stack, md, rule), stack):
+            counts, flats, _, _ = pursue(stack, md, rule)
+            for (addresses,), signal in zip(per_signal(counts, flats), stack):
                 if np.array_equal(signal, f):
-                    assert [address for address, _ in block.entries] == [0]
+                    assert addresses.tolist() == [0]
 
 
 class TestMaskedRowsInAGroup:
@@ -172,12 +185,12 @@ class TestMaskedRowsInAGroup:
     def test_grouped_rows_equal_their_pursuit_alone(self, cap, pairs):
         md, signals = self.masking_case(pairs)
         rule = StoppingRule("max_atoms", atom_cap=cap)
-        for (block, norm), signal in zip(pursue(signals, md, rule), signals):
+        counts, flats, coeffs, sse = pursue(signals, md, rule)
+        for (addresses, values), s, signal in zip(per_signal(counts, flats, coeffs), sse, signals):
             alone, alone_norm = run_omp(signal, md, rule)
-            assert [a for a, _ in block.entries] == [a for a, _ in alone.entries]
-            coeffs = np.array([c for _, c in block.entries])
-            assert coeffs.tobytes() == np.array([c for _, c in alone.entries]).tobytes()
-            assert norm == alone_norm
+            assert addresses.tolist() == [a for a, _ in alone.entries]
+            assert values.tobytes() == np.array([c for _, c in alone.entries]).tobytes()
+            assert np.sqrt(s) == alone_norm
 
     def test_stepwise_pursuit_equals_run_omp(self):
         # Every column twice: once the signal is represented exactly, dust
@@ -397,7 +410,7 @@ class TestRunOmp:
         addresses = [addr for addr, _ in block.entries]
         A = np.column_stack([md.atom_flat(i) for i in addresses])
         projection = A @ np.linalg.lstsq(A, f, rcond=None)[0]
-        approx = md.reconstruct(block.entries)
+        approx = synthesis(md, block)
         np.testing.assert_allclose(approx, projection, rtol=1e-6, atol=1e-9)
 
     def test_zero_correlation_stops_without_error(self):
@@ -475,7 +488,7 @@ class TestRunOmp:
             sses = [f @ f] + [row[3] for row in trace]
             assert all(b <= a + 1e-12 for a, b in zip(sses, sses[1:]))
             # selected atoms are orthogonal to the final residual
-            residual = f - md.reconstruct(block.entries)
+            residual = f - synthesis(md, block)
             for addr, _ in block.entries:
                 assert abs(md.atom_flat(addr) @ residual) <= 1e-6 * np.linalg.norm(f)
 

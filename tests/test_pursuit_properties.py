@@ -232,11 +232,13 @@ def check_agreement(dictionary, atoms, signals, rule, group, exact=True):
                 pursuit.pursue(signals, dictionary, rule)
             assert expected[info.value.index] is None
         else:
-            results = pursuit.pursue(signals, dictionary, rule)
-            for (block, norm), (addresses, coeffs, alone_norm) in zip(results, expected):
-                assert [a for a, _ in block.entries] == addresses
-                assert np.array([c for _, c in block.entries]).tobytes() == coeffs.tobytes()
-                assert norm == alone_norm
+            counts, flats, coeffs, sse = pursuit.pursue(signals, dictionary, rule)
+            ends = np.cumsum(counts)[:-1]
+            columns = zip(np.split(flats, ends), np.split(coeffs, ends), sse)
+            for (got_flats, got_coeffs, got_sse), (addresses, coeffs, alone_norm) in zip(columns, expected):
+                assert [dictionary.address_of(flat) for flat in got_flats] == addresses
+                assert got_coeffs.tobytes() == coeffs.tobytes()
+                assert np.sqrt(got_sse) == alone_norm
 
     for signal, e in zip(signals, expected):
         if e is None:
@@ -280,11 +282,11 @@ def test_high_k_residual_is_the_least_squares_residual(L):
     d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
     blocks = to_blocks(crop("texture").as_float()[:64, :64], L).reshape(-1, L, L)
     rule = StoppingRule("both", psnr_to_block_sse(80.0, L), L * L)
-    results = pursuit.pursue(blocks, d, rule)
-    assert max(len(sparse) for sparse, _ in results) > 2 * L
-    for block, (sparse, norm) in zip(blocks, results):
-        addresses = [a for a, _ in sparse.entries]
+    counts, flats, _, sse = pursuit.pursue(blocks, d, rule)
+    assert counts.max() > 2 * L
+    for block, block_flats, block_sse in zip(blocks, np.split(flats, np.cumsum(counts)[:-1]), sse):
+        addresses = [d.address_of(flat) for flat in block_flats]
         A = np.column_stack([d.atom_flat(d.flat_index(a)) for a in addresses])
         f = block.ravel()
         ls_sse = np.sum((f - A @ least_squares_coeffs(d, addresses, block)) ** 2)
-        assert norm**2 - ls_sse <= 1e-12 * (f @ f)
+        assert block_sse - ls_sse <= 1e-12 * (f @ f)
