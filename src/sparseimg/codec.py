@@ -210,12 +210,12 @@ class EncodedImage:
                 f"{len(counts)} blocks for a {self.width}x{self.height} image, "
                 f"which has {rows * cols} blocks of {self.block_size}x{self.block_size}"
             )
-        if len(counts) and counts.min() < 0:
+        if len(counts) and np.minimum.reduce(counts) < 0:
             n = int(np.argmax(counts < 0))
             raise ValueError(f"block {divmod(n, cols)} has {counts[n]} atoms")
-        if counts.sum() != len(flats) or len(flats) != len(coeffs):
+        if np.add.reduce(counts) != len(flats) or len(flats) != len(coeffs):
             raise ValueError(f"{counts.sum()} atoms counted, {len(flats)} flats and {len(coeffs)} coefficients given")
-        if len(flats) and (flats.min() < 0 or int(flats.max()) >= n_base * n_base):
+        if len(flats) and (np.minimum.reduce(flats) < 0 or int(np.maximum.reduce(flats)) >= n_base * n_base):
             t = int(np.argmax((flats < 0) | (flats >= n_base * n_base)))
             n = int(np.searchsorted(np.cumsum(counts), t, side="right"))
             raise ValueError(f"block {divmod(n, cols)} holds flat address {flats[t]}, outside [0, {n_base * n_base})")

@@ -360,9 +360,8 @@ def pursue(
     after another, in selection order, and each signal's residual sum of
     squares; each signal's are what :func:`run_omp` gives it alone. Signals
     are pursued in groups of ``GROUP_ENTRIES // len(dictionary.candidates)``.
-    When ``trace`` is a list, one ``(index, k,
-    address, abs_corr, sse)`` tuple is appended per accepted atom, ordered by
-    signal and then by ``k``.
+    When ``trace`` is a list, one ``(index, k, address, abs_corr, sse)``
+    tuple is appended per accepted atom, ordered by signal and then by ``k``.
 
     Raises :class:`PursuitExhaustedError`, with the signal's ``index``, if
     every atom of a signal gets masked while its threshold is still unmet

@@ -78,13 +78,15 @@ MUTANTS = [
     (CODEC, "    bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))",
      "    bad = np.flatnonzero(flats >= n_base * n_base)",
      "deserialize no longer checks the coefficient range"),
-    (CODEC, "if len(counts) and counts.min() < 0:", "if False:",
+    (CODEC, "if len(counts) and np.minimum.reduce(counts) < 0:", "if False:",
      "the constructor accepts a negative count"),
-    (CODEC, "if counts.sum() != len(flats) or len(flats) != len(coeffs):", "if False:",
+    (CODEC, "if np.add.reduce(counts) != len(flats) or len(flats) != len(coeffs):", "if False:",
      "the constructor accepts counts that do not sum to the columns"),
-    (CODEC, "(flats.min() < 0 or int(flats.max()) >= n_base * n_base)", "int(flats.max()) >= n_base * n_base",
+    (CODEC, "(np.minimum.reduce(flats) < 0 or int(np.maximum.reduce(flats)) >= n_base * n_base)",
+     "int(np.maximum.reduce(flats)) >= n_base * n_base",
      "the constructor accepts negative flats, which decode wraps to other atoms"),
-    (CODEC, "(flats.min() < 0 or int(flats.max()) >= n_base * n_base)", "flats.min() < 0",
+    (CODEC, "(np.minimum.reduce(flats) < 0 or int(np.maximum.reduce(flats)) >= n_base * n_base)",
+     "np.minimum.reduce(flats) < 0",
      "the constructor accepts flats at or above n_base**2"),
     (CODEC, "self._header()[:-1] == other._header()[:-1]\n            and np.array_equal(self.target_psnr, other.target_psnr, equal_nan=True)",
      "self._header() == other._header()",
