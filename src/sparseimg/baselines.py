@@ -9,11 +9,13 @@ comparable with the pursuit's atom count.
 from __future__ import annotations
 
 import bisect
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import from_blocks, psnr, to_blocks
+from .codec import PEAK, from_blocks, psnr, psnr_to_block_sse, to_blocks
 
 DCT_KIND = "dct2_block"
 CDF97_KIND = "cdf97_full"
@@ -132,22 +134,113 @@ def threshold_to_psnr(
     """Smallest largest-magnitude coefficient subset reaching the PSNR target.
 
     Binary-searches the kept count along the magnitude ordering and returns
-    ``(kept_count, achieved_psnr)``. The search assumes that the PSNR does
-    not fall as the count grows. Keeping everything reproduces the image up
-    to rounding; a target beyond the PSNR that gives raises RuntimeError.
+    ``(kept_count, achieved_psnr)``. The ordering is a stable sort of the
+    magnitudes, largest first: equal magnitudes go in index order, and nan
+    comes last. The search assumes that the PSNR does not fall as the count
+    grows. Keeping everything reproduces the image up to rounding; a target
+    beyond the PSNR that gives raises RuntimeError, and a target that is not
+    > 0 raises ValueError.
+
+    An exact probe at ``count`` keeps every magnitude above the ``count``-th
+    largest, ``m``, and as many of those equal to ``m`` as fit, smallest index
+    first; it runs one inverse transform. For the block DCT a probe is
+    settled without one wherever Parseval's identity proves the exact probe's
+    answer, so the search takes the same path and returns the same bits.
+
+    The rule: let ``tail`` be the energy of the coefficients a probe drops,
+    ``n`` the number of coefficients and ``sse = n * 255**2 * 10**(-target /
+    10)``. The probe is True when ``sqrt(tail) + delta < sqrt(sse) * (1 -
+    1e-9)`` and False when ``sqrt(tail) - delta > sqrt(sse) * (1 + 1e-9)``,
+    where
+
+        delta = |img - inverse(values)| + 2**-30 * (|img| + |values|)
+
+    costs one inverse transform. Any other probe runs exactly.
+
+    Why: ``img - inverse(kept) = (img - inverse(values)) + B(dropped) + e``,
+    where ``B`` is the inverse in exact arithmetic with the float DCT matrix
+    ``D``, and ``e`` is rounding. ``|B(dropped)| = sqrt(tail)`` up to a
+    relative ``L * 2**-51``: ``D`` is orthonormal to within that (measured up
+    to L = 1024). Each of the two inverses errs by at most ``2 * L**1.5 *
+    2**-53`` times the norm of its input (two products of inner length L),
+    and the subtraction adds ``2**-53 * (|img| + |inverse(kept)|)``. At L = 16
+    these sum to less than 1e-4 of the ``2**-30`` term, and stay below it for
+    every L up to 10**4. So the exact residual norm lies within ``delta`` of
+    ``sqrt(tail)``. The 1e-9 margin covers the rounding of the exact probe's
+    PSNR comparison, about 1e-13 relative.
+
+    Two refinements keep the proof whole at any size and scale. ``tail`` and
+    ``|img - inverse(values)|`` are float sums of up to ``n`` squares, with
+    relative errors below ``rho = n * 2**-52``: ``tail`` is scaled by ``1 +
+    rho`` for True and by ``1 - rho`` for False, and the residual by ``1 +
+    rho``. Below an MSE of ``255**2 / DBL_MAX`` the exact PSNR overflows to
+    inf and meets every target, so ``sse`` is at least ``n`` times that MSE.
+    This floor also keeps ``1e-9 * sqrt(sse)`` above ``sqrt(n) * 2**-537``,
+    the most that squares which underflow can take from a norm. An inf or nan
+    in the bounds settles nothing.
+
+    CDF 9/7 is not orthonormal, and no cheap sound bound on its synthesis
+    error is known, so all of its probes run exactly.
     """
+    psnr_to_block_sse(target_db, 1)  # raises ValueError unless target_db > 0
     flat = coeffs.values.ravel()
-    order = np.argsort(-np.abs(flat), kind="stable")
+    key = np.abs(flat)
+    np.negative(key, out=key)  # ascending key is descending magnitude
+    ranked = np.sort(key)
+    if flat.size and np.isnan(ranked[-1]):  # nan sorts last; +inf keeps it last in comparisons
+        key[np.isnan(key)] = np.inf
+        ranked[np.isnan(ranked)] = np.inf
 
     def psnr_for(count: int) -> float:
-        kept = np.zeros_like(flat)
-        idx = order[:count]
-        kept[idx] = flat[idx]
+        m = ranked[count - 1] if count else -np.inf  # -inf keeps nothing
+        keep = key < m
+        ties = np.flatnonzero(key == m)  # in index order, as the stable sort has them
+        keep[ties[: count - np.searchsorted(ranked, m)]] = True
+        kept = np.where(keep, flat, 0)
         trimmed = replace(coeffs, values=kept.reshape(coeffs.values.shape))
         return psnr(img, inverse_transform(trimmed))
 
-    lo = bisect.bisect_left(range(flat.size), True, key=lambda count: psnr_for(count) >= target_db)
+    settle = _parseval_settler(coeffs, img, ranked, target_db) if coeffs.kind == DCT_KIND else lambda count: None
+
+    def reaches(count: int) -> bool:
+        verdict = settle(count)
+        return psnr_for(count) >= target_db if verdict is None else verdict
+
+    lo = bisect.bisect_left(range(flat.size), True, key=reaches)
     achieved = psnr_for(lo)
     if achieved < target_db:  # the search ended at every coefficient kept
         raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
     return lo, achieved
+
+
+def _parseval_settler(coeffs: TransformCoeffs, img: np.ndarray, ranked: np.ndarray, target_db: float):
+    """The block-DCT probe rule of :func:`threshold_to_psnr`: a function of
+    the count that returns True or False where Parseval's identity proves the
+    exact probe's answer, and None elsewhere. ``ranked`` holds the negated
+    magnitudes in ascending order."""
+    image = np.asarray(img, dtype=np.float64)
+    full = inverse_transform(coeffs)
+    if image.shape != full.shape:  # as psnr says it at the first exact probe
+        raise ValueError(f"image dimensions differ: {image.shape} vs {full.shape}")
+    n = ranked.size
+    rho = n * 2.0**-52
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = np.square(ranked[::-1])
+        np.cumsum(tails, out=tails)  # smallest first, so each sum is accurate to rho
+        tails = tails[::-1]  # tails[c]: energy of the coefficients a probe at c drops
+        delta = float(np.linalg.norm(image - full)) * (1.0 + rho) + 2.0**-30 * float(
+            np.linalg.norm(image) + np.linalg.norm(ranked)
+        )
+    # below an MSE of 255**2 / DBL_MAX the PSNR overflows to inf, which meets any target
+    reach = math.sqrt(image.size * max(psnr_to_block_sse(target_db, 1), PEAK**2 / sys.float_info.max))
+    below, above = reach * (1.0 - 1e-9) - delta, reach * (1.0 + 1e-9) + delta
+
+    def settle(count: int) -> bool | None:
+        tail = float(tails[count])
+        if math.sqrt(tail * (1.0 + rho)) < below:
+            return True
+        if math.sqrt(tail * (1.0 - rho)) > above:
+            return False
+        return None
+
+    return settle

@@ -185,11 +185,11 @@ class EncodedImage:
     block's atoms, one block after another; and ``coeffs``, their
     coefficients. :attr:`blocks` views them as :class:`SparseBlock` objects.
 
-    The constructor raises ``ValueError`` unless there is one count per block
-    of the grid, no count is negative, the counts sum to the length of both
-    ``flats`` and ``coeffs``, and every flat lies in ``[0, n_base**2)``; the
-    message names the first bad block. :func:`serialize` checks the
-    coefficients.
+    The constructor raises ``ValueError`` unless ``block_size >= 1`` tiles
+    the image, there is one count per block of the grid, no count is
+    negative, the counts sum to the length of both ``flats`` and ``coeffs``,
+    and every flat lies in ``[0, n_base**2)``; the message names the first
+    bad block. :func:`serialize` checks the coefficients.
     """
 
     def __init__(
@@ -203,6 +203,8 @@ class EncodedImage:
         self.coeffs = coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         for column in (counts, flats, coeffs):
             column.flags.writeable = False
+        if not (block_size >= 1 and width % block_size == 0 and height % block_size == 0):
+            raise ValueError(f"block size {block_size} does not tile {width}x{height}")
         # whole-array checks; the bad block is looked for only on failure
         rows, cols = self.grid
         if len(counts) != rows * cols:
@@ -215,9 +217,10 @@ class EncodedImage:
             raise ValueError(f"block {divmod(n, cols)} has {counts[n]} atoms")
         if np.add.reduce(counts) != len(flats) or len(flats) != len(coeffs):
             raise ValueError(f"{counts.sum()} atoms counted, {len(flats)} flats and {len(coeffs)} coefficients given")
+        self._ends = np.cumsum(counts)  # where each block's atoms end in the columns
         if len(flats) and (np.minimum.reduce(flats) < 0 or int(np.maximum.reduce(flats)) >= n_base * n_base):
             t = int(np.argmax((flats < 0) | (flats >= n_base * n_base)))
-            n = int(np.searchsorted(np.cumsum(counts), t, side="right"))
+            n = int(np.searchsorted(self._ends, t, side="right"))
             raise ValueError(f"block {divmod(n, cols)} holds flat address {flats[t]}, outside [0, {n_base * n_base})")
 
     @property
@@ -263,7 +266,7 @@ class _Blocks(Sequence):
 
     def __init__(self, enc: EncodedImage):
         self._enc = enc
-        self._ends = np.cumsum(enc.counts)
+        self._ends = enc._ends
 
     def __len__(self) -> int:
         return len(self._ends)

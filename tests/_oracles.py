@@ -2,20 +2,24 @@
 
 Everything here recomputes results along a different route than the package:
 exact rational truncated-power sums, dense flattened inner products,
-normal-equations solves, direct filter-bank convolution, and the ``.sic``
-container written and read one entry at a time.
+normal-equations solves, direct filter-bank convolution, the ``.sic``
+container written and read one entry at a time, and the baselines' kept
+count found with one inverse transform per probe.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from sparseimg import DictionaryKind, EncodedImage, SparseBlock
+from sparseimg import DictionaryKind, EncodedImage, SparseBlock, TransformCoeffs
+from sparseimg.baselines import inverse_transform
 from sparseimg.codec import (
     _HEADER,
     MAGIC,
@@ -25,6 +29,7 @@ from sparseimg.codec import (
     MAX_N_BASE,
     VERSION,
     ContainerError,
+    psnr,
 )
 
 _COUNT = struct.Struct("<H")
@@ -221,3 +226,34 @@ def deserialize(data: bytes) -> EncodedImage:
         flats=[i * n_base + j for sparse in blocks for (i, j), _ in sparse.entries],
         coeffs=[coeff for sparse in blocks for _, coeff in sparse.entries],
     )
+
+
+# The baselines' threshold search with a stable argsort and an inverse
+# transform at every probe.
+
+
+def threshold_to_psnr(
+    coeffs: TransformCoeffs, img: np.ndarray, target_db: float
+) -> tuple[int, float]:
+    """Smallest largest-magnitude coefficient subset reaching the PSNR target.
+
+    Binary-searches the kept count along the magnitude ordering and returns
+    ``(kept_count, achieved_psnr)``. The search assumes that the PSNR does
+    not fall as the count grows. Keeping everything reproduces the image up
+    to rounding; a target beyond the PSNR that gives raises RuntimeError.
+    """
+    flat = coeffs.values.ravel()
+    order = np.argsort(-np.abs(flat), kind="stable")
+
+    def psnr_for(count: int) -> float:
+        kept = np.zeros_like(flat)
+        idx = order[:count]
+        kept[idx] = flat[idx]
+        trimmed = replace(coeffs, values=kept.reshape(coeffs.values.shape))
+        return psnr(img, inverse_transform(trimmed))
+
+    lo = bisect.bisect_left(range(flat.size), True, key=lambda count: psnr_for(count) >= target_db)
+    achieved = psnr_for(lo)
+    if achieved < target_db:  # the search ended at every coefficient kept
+        raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
+    return lo, achieved

@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PURSUIT = "src/sparseimg/pursuit.py"
 CODEC = "src/sparseimg/codec.py"
+BASELINES = "src/sparseimg/baselines.py"
 TIMEOUT_S = 600
 WORKERS = 2
 
@@ -91,6 +92,23 @@ MUTANTS = [
     (CODEC, "self._header()[:-1] == other._header()[:-1]\n            and np.array_equal(self.target_psnr, other.target_psnr, equal_nan=True)",
      "self._header() == other._header()",
      "an image whose target is nan is not equal to itself"),
+    (CODEC, "        if not (block_size >= 1 and width % block_size == 0 and height % block_size == 0):\n", "        if False:\n",
+     "the constructor accepts a block size that does not tile the image"),
+    (CODEC, "        self._ends = enc._ends\n", "        self._ends = np.cumsum(enc.counts)\n",
+     "every enc.blocks access sums all the counts again"),
+    (BASELINES, "keep[ties[: count - np.searchsorted(ranked, m)]] = True",
+     "keep[ties[len(ties) - (count - np.searchsorted(ranked, m)) :]] = True",
+     "a probe keeps the ties at its magnitude from the largest index"),
+    (BASELINES, "float(np.linalg.norm(image - full)) * (1.0 + rho) + 2.0**-30", "2.0**-30",
+     "the Parseval margin leaves out the residual of every coefficient kept"),
+    (BASELINES, "+ 2.0**-30 * float(", "+ 0.0 * float(",
+     "the Parseval margin has no allowance for the rounding of the block products"),
+    (BASELINES, "    psnr_to_block_sse(target_db, 1)  # raises ValueError unless target_db > 0\n", "",
+     "threshold_to_psnr accepts a target that is not > 0"),
+    (BASELINES, "    if flat.size and np.isnan(ranked[-1]):", "    if False:",
+     "nan magnitudes compare as nothing, so a probe past them keeps nothing"),
+    (BASELINES, "max(psnr_to_block_sse(target_db, 1), PEAK**2 / sys.float_info.max)", "psnr_to_block_sse(target_db, 1)",
+     "the Parseval rule settles False where the exact PSNR overflows to inf"),
 ]
 
 SURVIVORS = [

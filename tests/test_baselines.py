@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.fft
 
 from sparseimg import (
+    ImageGray8,
     TransformCoeffs,
     cdf97_forward,
     cdf97_inverse,
@@ -17,6 +19,7 @@ from sparseimg import baselines
 from sparseimg.baselines import dct_matrix, inverse_transform
 from sparseimg.codec import psnr
 
+import _corpus
 from _oracles import cdf97_analysis_2d
 from conftest import synthetic_image
 
@@ -122,19 +125,46 @@ class TestThresholdToPsnr:
         with pytest.raises(ValueError, match="unknown transform kind 'haar'"):
             inverse_transform(coeffs)
 
-    @pytest.mark.parametrize("target, reachable", [(35.0, True), (400.0, False)])
-    def test_one_inverse_transform_per_probe_and_one_for_the_result(self, target, reachable):
-        # the binary search over 1,024 counts probes ten of them; the result's
-        # PSNR is computed once more, also when it is the all-coefficients one
+    @pytest.mark.parametrize(
+        "transform, target, calls", [("cdf97", 35.0, 11), ("cdf97", 400.0, 11), ("dct", 35.0, 2), ("dct", 400.0, 4)]
+    )
+    def test_inverse_transforms_per_search(self, transform, target, calls):
+        # CDF 9/7 runs every probe exactly: the binary search over 1,024
+        # counts probes ten of them, and the result's PSNR is computed once
+        # more, also when it is the all-coefficients one. The block DCT runs
+        # one inverse for the keep-all residual and one for the result;
+        # Parseval's identity settles every probe at 35 dB, and all but two
+        # next to the rounding floor
         img = synthetic_image(32, 32).as_float()
-        coeffs = dct2_block_forward(img, 16)
+        coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=3)
         with mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
-            if reachable:
+            if target < 100.0:
                 threshold_to_psnr(coeffs, img, target)
             else:
                 with pytest.raises(RuntimeError, match="unreachable even with all coefficients"):
                     threshold_to_psnr(coeffs, img, target)
-        assert spy.call_count == 11
+        assert spy.call_count == calls
+
+    @pytest.mark.parametrize("name", _corpus.corpus.NAMES)
+    def test_a_dct_search_on_a_corpus_image_makes_few_inverse_transforms(self, name):
+        # 512x512 at 40 dB: one inverse for the keep-all residual, one for the
+        # result, and none or one for a probe that Parseval leaves open
+        data = ImageGray8.from_array(_corpus.corpus.make_image(name, 1)).as_float()
+        for L in (16, 8):
+            coeffs = dct2_block_forward(data, L)
+            with mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
+                threshold_to_psnr(coeffs, data, 40.0)
+            assert spy.call_count <= 3
+
+    @pytest.mark.parametrize("target", [0.0, -3.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("transform", ["dct", "cdf97"])
+    def test_target_must_be_positive(self, transform, target):
+        # a nan target used to keep all 256 coefficients of this image and
+        # report 324.57 dB as a success
+        img = np.full((16, 16), 7.0)
+        coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=2)
+        with pytest.raises(ValueError, match="PSNR target must be positive"):
+            threshold_to_psnr(coeffs, img, target)
 
     def test_keep_all_is_effectively_lossless(self):
         # invertibility makes any realistic target reachable; the keep-all
