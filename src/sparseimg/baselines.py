@@ -170,8 +170,8 @@ def threshold_to_psnr(
     PSNR comparison, about 1e-13 relative.
 
     Two refinements keep the proof whole at any size and scale. ``tail`` and
-    ``|img - inverse(values)|`` are float sums of up to ``n`` squares, with
-    relative errors below ``rho = n * 2**-52``: ``tail`` is scaled by ``1 +
+    ``|img - inverse(values)|`` are float sums of up to ``n`` squares, in any
+    order, with relative errors below ``rho = n * 2**-52``: ``tail`` is scaled by ``1 +
     rho`` for True and by ``1 - rho`` for False, and the residual by ``1 +
     rho``. Below an MSE of ``255**2 / DBL_MAX`` the exact PSNR overflows to
     inf and meets every target, so ``sse`` is at least ``n`` times that MSE.
@@ -184,20 +184,20 @@ def threshold_to_psnr(
     """
     psnr_to_block_sse(target_db, 1)  # raises ValueError unless target_db > 0
     flat = coeffs.values.ravel()
-    key = np.abs(flat)
-    np.negative(key, out=key)  # ascending key is descending magnitude
-    ranked = np.sort(key)
-    if flat.size and np.isnan(ranked[-1]):  # nan sorts last; +inf keeps it last in comparisons
-        key[np.isnan(key)] = np.inf
-        ranked[np.isnan(ranked)] = np.inf
+    ranked = _magnitude_key(flat)
+    ranked.sort()  # the one array held across the search
 
-    def psnr_for(count: int) -> float:
+    def kept_at(count: int) -> np.ndarray:
+        """``flat`` with every coefficient a probe at ``count`` drops set to 0."""
         m = ranked[count - 1] if count else -np.inf  # -inf keeps nothing
+        key = _magnitude_key(flat)
         keep = key < m
         ties = np.flatnonzero(key == m)  # in index order, as the stable sort has them
         keep[ties[: count - np.searchsorted(ranked, m)]] = True
-        kept = np.where(keep, flat, 0)
-        trimmed = replace(coeffs, values=kept.reshape(coeffs.values.shape))
+        return np.where(keep, flat, 0)
+
+    def psnr_for(count: int) -> float:
+        trimmed = replace(coeffs, values=kept_at(count).reshape(coeffs.values.shape))
         return psnr(img, inverse_transform(trimmed))
 
     settle = _parseval_settler(coeffs, img, ranked, target_db) if coeffs.kind == DCT_KIND else lambda count: None
@@ -213,22 +213,29 @@ def threshold_to_psnr(
     return lo, achieved
 
 
+def _magnitude_key(flat: np.ndarray) -> np.ndarray:
+    """``-|flat|`` with nan as +inf: its stable ascending order is the search's
+    magnitude order, largest first and nan last."""
+    key = np.abs(flat, dtype=np.float64)
+    np.negative(key, out=key)
+    key[np.isnan(key)] = np.inf
+    return key
+
+
 def _parseval_settler(coeffs: TransformCoeffs, img: np.ndarray, ranked: np.ndarray, target_db: float):
     """The block-DCT probe rule of :func:`threshold_to_psnr`: a function of
     the count that returns True or False where Parseval's identity proves the
-    exact probe's answer, and None elsewhere. ``ranked`` holds the negated
-    magnitudes in ascending order."""
+    exact probe's answer, and None elsewhere. ``ranked`` is the sorted
+    :func:`_magnitude_key`; ``tail`` at ``count`` is the energy of
+    ``ranked[count:]``."""
     image = np.asarray(img, dtype=np.float64)
-    full = inverse_transform(coeffs)
-    if image.shape != full.shape:  # as psnr says it at the first exact probe
-        raise ValueError(f"image dimensions differ: {image.shape} vs {full.shape}")
-    n = ranked.size
-    rho = n * 2.0**-52
+    residual = inverse_transform(coeffs)
+    if image.shape != residual.shape:  # as psnr says it at the first exact probe
+        raise ValueError(f"image dimensions differ: {image.shape} vs {residual.shape}")
+    rho = ranked.size * 2.0**-52
     with np.errstate(over="ignore", invalid="ignore"):
-        tails = np.square(ranked[::-1])
-        np.cumsum(tails, out=tails)  # smallest first, so each sum is accurate to rho
-        tails = tails[::-1]  # tails[c]: energy of the coefficients a probe at c drops
-        delta = float(np.linalg.norm(image - full)) * (1.0 + rho) + 2.0**-30 * float(
+        residual -= image
+        delta = float(np.linalg.norm(residual)) * (1.0 + rho) + 2.0**-30 * float(
             np.linalg.norm(image) + np.linalg.norm(ranked)
         )
     # below an MSE of 255**2 / DBL_MAX the PSNR overflows to inf, which meets any target
@@ -236,7 +243,8 @@ def _parseval_settler(coeffs: TransformCoeffs, img: np.ndarray, ranked: np.ndarr
     below, above = reach * (1.0 - 1e-9) - delta, reach * (1.0 + 1e-9) + delta
 
     def settle(count: int) -> bool | None:
-        tail = float(tails[count])
+        with np.errstate(over="ignore"):
+            tail = float(np.dot(ranked[count:], ranked[count:]))
         if math.sqrt(tail * (1.0 + rho)) < below:
             return True
         if math.sqrt(tail * (1.0 - rho)) > above:

@@ -99,13 +99,13 @@ MUTANTS = [
     (BASELINES, "keep[ties[: count - np.searchsorted(ranked, m)]] = True",
      "keep[ties[len(ties) - (count - np.searchsorted(ranked, m)) :]] = True",
      "a probe keeps the ties at its magnitude from the largest index"),
-    (BASELINES, "float(np.linalg.norm(image - full)) * (1.0 + rho) + 2.0**-30", "2.0**-30",
+    (BASELINES, "float(np.linalg.norm(residual)) * (1.0 + rho) + 2.0**-30", "2.0**-30",
      "the Parseval margin leaves out the residual of every coefficient kept"),
     (BASELINES, "+ 2.0**-30 * float(", "+ 0.0 * float(",
      "the Parseval margin has no allowance for the rounding of the block products"),
     (BASELINES, "    psnr_to_block_sse(target_db, 1)  # raises ValueError unless target_db > 0\n", "",
      "threshold_to_psnr accepts a target that is not > 0"),
-    (BASELINES, "    if flat.size and np.isnan(ranked[-1]):", "    if False:",
+    (BASELINES, "    key[np.isnan(key)] = np.inf\n", "",
      "nan magnitudes compare as nothing, so a probe past them keeps nothing"),
     (BASELINES, "max(psnr_to_block_sse(target_db, 1), PEAK**2 / sys.float_info.max)", "psnr_to_block_sse(target_db, 1)",
      "the Parseval rule settles False where the exact PSNR overflows to inf"),
