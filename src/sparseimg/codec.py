@@ -33,6 +33,7 @@ import struct
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +218,6 @@ class EncodedImage:
             raise ValueError(f"block {divmod(n, cols)} has {counts[n]} atoms")
         if np.add.reduce(counts) != len(flats) or len(flats) != len(coeffs):
             raise ValueError(f"{counts.sum()} atoms counted, {len(flats)} flats and {len(coeffs)} coefficients given")
-        self._ends = np.cumsum(counts)  # where each block's atoms end in the columns
         if len(flats) and (np.minimum.reduce(flats) < 0 or int(np.maximum.reduce(flats)) >= n_base * n_base):
             t = int(np.argmax((flats < 0) | (flats >= n_base * n_base)))
             n = int(np.searchsorted(self._ends, t, side="right"))
@@ -226,6 +226,11 @@ class EncodedImage:
     @property
     def grid(self) -> tuple[int, int]:
         return (self.height // self.block_size, self.width // self.block_size)
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """Where each block's atoms end in the columns; summed on first use."""
+        return np.cumsum(self.counts)
 
     @property
     def blocks(self) -> "_Blocks":

@@ -405,14 +405,14 @@ class TestContainer:
         with pytest.raises(ValueError, match=re.escape(f"block size {block} does not tile {width}x{height}")):
             EncodedImage(width, height, block, DictionaryKind.DCT2_LINEAR, 86, 40.0, [0], [], [])
 
-    def test_reading_a_block_does_not_walk_the_counts(self):
-        # the constructor finds where each block ends once; before, every
+    def test_the_counts_are_summed_once_per_image(self):
+        # the first read finds where each block ends; before, every
         # enc.blocks access ran a cumulative sum over all the counts
         enc = EncodedImage(64, 64, 8, DictionaryKind.DCT2_LINEAR, 43, 40.0, [1] * 64, range(64), [1.0] * 64)
         with mock.patch.object(np, "cumsum", wraps=np.cumsum) as spy:
             assert [enc.blocks[n].entries for n in (0, 43, -1)] == [[((0, 0), 1.0)], [((1, 0), 1.0)], [((1, 20), 1.0)]]
             assert len(enc.blocks) == 64
-        assert spy.call_count == 0
+        assert spy.call_count == 1
 
     def test_a_nan_target_equals_itself(self):
         # a container may carry any f64 target, and deserialize keeps it
