@@ -138,8 +138,8 @@ def threshold_to_psnr(
     magnitudes, largest first: equal magnitudes go in index order, and nan
     comes last. The search assumes that the PSNR does not fall as the count
     grows. Keeping everything reproduces the image up to rounding; a target
-    beyond the PSNR that gives raises RuntimeError, and a target that is not
-    > 0 raises ValueError.
+    beyond the PSNR that gives raises RuntimeError, as does a nan PSNR, which
+    meets no target, and a target that is not > 0 raises ValueError.
 
     An exact probe at ``count`` keeps every magnitude above the ``count``-th
     largest, ``m``, and as many of those equal to ``m`` as fit, smallest index
@@ -208,7 +208,7 @@ def threshold_to_psnr(
 
     lo = bisect.bisect_left(range(flat.size), True, key=reaches)
     achieved = psnr_for(lo)
-    if achieved < target_db:  # the search ended at every coefficient kept
+    if not achieved >= target_db:  # the search ended at every coefficient kept, and nan meets no target
         raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
     return lo, achieved
 

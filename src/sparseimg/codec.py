@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 import struct
 from collections import Counter
@@ -154,7 +155,8 @@ def clamp_to_u8(image: np.ndarray) -> np.ndarray:
 
 
 def psnr(original, approx) -> float:
-    """Peak signal-to-noise ratio in dB against a peak of 255."""
+    """Peak signal-to-noise ratio in dB against a peak of 255: inf for equal
+    images, -inf for an infinite mean squared error and nan for a nan pixel."""
     a = original.as_float() if isinstance(original, ImageGray8) else np.asarray(original, float)
     b = approx.as_float() if isinstance(approx, ImageGray8) else np.asarray(approx, float)
     if a.shape != b.shape:
@@ -163,7 +165,11 @@ def psnr(original, approx) -> float:
 
 
 def _mse_to_psnr(mse: float) -> float:
-    return math.inf if mse == 0.0 else 10.0 * math.log10(PEAK**2 / mse)
+    if mse == 0.0:
+        return math.inf
+    if mse == math.inf:  # PEAK**2 / mse is 0, which has no logarithm
+        return -math.inf
+    return 10.0 * math.log10(PEAK**2 / mse)
 
 
 def psnr_to_block_sse(target_db: float, L: int) -> float:
@@ -220,7 +226,7 @@ class EncodedImage:
             raise ValueError(f"{counts.sum()} atoms counted, {len(flats)} flats and {len(coeffs)} coefficients given")
         if len(flats) and (np.minimum.reduce(flats) < 0 or int(np.maximum.reduce(flats)) >= n_base * n_base):
             t = int(np.argmax((flats < 0) | (flats >= n_base * n_base)))
-            n = int(np.searchsorted(self._ends, t, side="right"))
+            n = _block_of(self._ends, t)
             raise ValueError(f"block {divmod(n, cols)} holds flat address {flats[t]}, outside [0, {n_base * n_base})")
 
     @property
@@ -238,10 +244,6 @@ class EncodedImage:
         ``((i, j), coefficient)`` entries, Python ints and floats, each built
         when it is read."""
         return _Blocks(self)
-
-    def _entries(self, start: int, stop: int) -> list:
-        n = self.n_base
-        return [(divmod(f, n), c) for f, c in zip(self.flats[start:stop].tolist(), self.coeffs[start:stop].tolist())]
 
     def _header(self) -> tuple:
         return (self.width, self.height, self.block_size, self.kind, self.n_base, self.target_psnr)
@@ -271,25 +273,22 @@ class _Blocks(Sequence):
 
     def __init__(self, enc: EncodedImage):
         self._enc = enc
-        self._ends = enc._ends
 
     def __len__(self) -> int:
-        return len(self._ends)
+        return len(self._enc.counts)
 
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[m] for m in range(*n.indices(len(self)))]
-        end = int(self._ends[n])
-        return SparseBlock(self._enc._entries(end - int(self._enc.counts[n]), end))
+    def __getitem__(self, n: int) -> SparseBlock:
+        enc = self._enc
+        n = operator.index(n)  # integers only: a one-block slice must not read as that block
+        end = int(enc._ends[n])
+        start = end - int(enc.counts[n])
+        flats, coeffs = enc.flats[start:end].tolist(), enc.coeffs[start:end].tolist()
+        return SparseBlock([(divmod(f, enc.n_base), c) for f, c in zip(flats, coeffs)])
 
-    def __iter__(self):
-        entries, start = self._enc._entries(0, len(self._enc.flats)), 0
-        for end in self._ends.tolist():
-            yield SparseBlock(entries[start:end])
-            start = end
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, _Blocks)) else NotImplemented
+def _block_of(ends: np.ndarray, t: int) -> int:
+    """The block that holds atom ``t`` of the columns, given where each block ends."""
+    return int(np.searchsorted(ends, t, side="right"))
 
 
 @dataclass
@@ -443,10 +442,10 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
     return out
 
 
-def _count_bytes(counts: np.ndarray) -> np.ndarray:
+def _count_bytes(counts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Which bytes of a block stream hold the u16 counts of blocks of
-    ``counts`` entries each."""
-    at = _COUNT.size * np.arange(len(counts)) + _ENTRY.itemsize * (np.cumsum(counts) - counts)
+    ``counts`` entries each, which end at ``ends`` in the columns."""
+    at = _COUNT.size * np.arange(len(counts)) + _ENTRY.itemsize * (ends - counts)
     mask = np.zeros(_COUNT.size * len(counts) + _ENTRY.itemsize * int(counts.sum()), dtype=bool)
     mask[at] = mask[at + 1] = True
     return mask
@@ -458,24 +457,23 @@ def serialize(enc: EncodedImage) -> bytes:
     header = _HEADER.pack(
         MAGIC, VERSION, enc.width, enc.height, enc.block_size, enc.kind.wire_code, enc.n_base, enc.target_psnr
     )
-    counts, flats, coeffs = enc.counts, enc.flats, enc.coeffs
-    ends = np.cumsum(counts)
+    counts, flats, coeffs, ends = enc.counts, enc.flats, enc.coeffs, enc._ends
     # The first fault in stream order: a block's count comes before its entries.
     full = np.flatnonzero(counts > MAX_ENTRIES)
     bad = np.flatnonzero(~(np.abs(coeffs) <= MAX_COEFF))
-    if len(full) and not (len(bad) and bad[0] < ends[full[0]] - counts[full[0]]):
+    if len(full) and (not len(bad) or full[0] <= _block_of(ends, int(bad[0]))):
         n = int(full[0])
         raise ValueError(
             f"block {divmod(n, enc.grid[1])} holds {counts[n]} atoms; a container block holds at most {MAX_ENTRIES}"
         )
     if len(bad):
         t = int(bad[0])
-        block = divmod(int(np.searchsorted(ends, t, side="right")), enc.grid[1])
+        block = divmod(_block_of(ends, t), enc.grid[1])
         raise ValueError(f"block {block} holds coefficient {float(coeffs[t])}, outside +-{MAX_COEFF:g}")
 
     entries = np.empty(len(flats), dtype=_ENTRY)
     entries["flat"], entries["coeff"] = flats, coeffs
-    is_count = _count_bytes(counts)
+    is_count = _count_bytes(counts, ends)
     stream = np.empty(len(is_count), dtype=np.uint8)
     stream[is_count] = counts.astype("<u2").view(np.uint8)
     stream[~is_count] = entries.view(np.uint8)
@@ -529,14 +527,14 @@ def deserialize(data: bytes) -> EncodedImage:
         if pos != size:
             fault = ContainerError(f"{size - pos} trailing bytes", pos)
     counts = np.array(counts, dtype=np.intp)
+    ends = np.cumsum(counts)
     stream = np.frombuffer(data, dtype=np.uint8, count=pos - _HEADER.size, offset=_HEADER.size)
-    entries = stream[~_count_bytes(counts)].view(_ENTRY)
+    entries = stream[~_count_bytes(counts, ends)].view(_ENTRY)
     flats, coeffs = entries["flat"].astype(np.intp), entries["coeff"].copy()
     bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))
     if len(bad):
         t = int(bad[0])
-        at = _HEADER.size + _COUNT.size * int(np.searchsorted(np.cumsum(counts), t, side="right") + 1)
-        at += _ENTRY.itemsize * t
+        at = _HEADER.size + _COUNT.size * (_block_of(ends, t) + 1) + _ENTRY.itemsize * t
         if flats[t] >= n_base * n_base:
             raise ContainerError(f"atom address {flats[t]} out of range", at)
         raise ContainerError(f"coefficient {float(coeffs[t])} out of range", at + _ENTRY.fields["coeff"][1])

@@ -74,6 +74,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_order(m: int) -> None:
+    if m not in SUPPORTED_ORDERS:
+        raise ValueError(f"unsupported spline order {m}: supported orders are 2 (linear) and 4 (cubic)")
+
+
 def eval_bspline(m: int, x: float) -> float:
     """Evaluate the cardinal B-spline of order ``m`` at ``x``.
 
@@ -82,10 +87,7 @@ def eval_bspline(m: int, x: float) -> float:
     ``(0, m)`` and peaks at ``x = m/2``. Only the linear (``m = 2``, the hat)
     and cubic (``m = 4``) orders are supported.
     """
-    if m not in SUPPORTED_ORDERS:
-        raise ValueError(
-            f"unsupported spline order {m}: supported orders are 2 (linear) and 4 (cubic)"
-        )
+    _check_order(m)
     if not math.isfinite(x):
         raise ValueError(f"spline argument must be finite, got {x}")
     if x <= 0.0 or x >= m:
@@ -122,10 +124,7 @@ def sample_prototype(m: int, dilation: int) -> Prototype:
     ``dilation`` must be 1, 2 or 3; each family uses exactly these three
     dilations, which produce supports 1/3/5 (linear) and 3/7/11 (cubic).
     """
-    if m not in SUPPORTED_ORDERS:
-        raise ValueError(
-            f"unsupported spline order {m}: supported orders are 2 (linear) and 4 (cubic)"
-        )
+    _check_order(m)
     if dilation not in DILATIONS:
         raise ValueError(
             f"unsupported dilation {dilation}: each spline family uses dilations {DILATIONS}"

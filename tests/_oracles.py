@@ -254,6 +254,6 @@ def threshold_to_psnr(
 
     lo = bisect.bisect_left(range(flat.size), True, key=lambda count: psnr_for(count) >= target_db)
     achieved = psnr_for(lo)
-    if achieved < target_db:  # the search ended at every coefficient kept
+    if not achieved >= target_db:  # the search ended at every coefficient kept, and nan meets no target
         raise RuntimeError(f"PSNR {target_db} dB unreachable even with all coefficients")
     return lo, achieved

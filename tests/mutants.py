@@ -94,8 +94,12 @@ MUTANTS = [
      "an image whose target is nan is not equal to itself"),
     (CODEC, "        if not (block_size >= 1 and width % block_size == 0 and height % block_size == 0):\n", "        if False:\n",
      "the constructor accepts a block size that does not tile the image"),
-    (CODEC, "        self._ends = enc._ends\n", "        self._ends = np.cumsum(enc.counts)\n",
+    (CODEC, "        end = int(enc._ends[n])\n", "        end = int(np.cumsum(enc.counts)[n])\n",
      "every enc.blocks access sums all the counts again"),
+    (CODEC, "            n = _block_of(self._ends, t)\n", '            n = int(np.searchsorted(self._ends, t, side="left"))\n',
+     "the constructor names the block before when the bad flat is the first atom of its block"),
+    (CODEC, "    if mse == math.inf:  # PEAK**2 / mse is 0, which has no logarithm\n        return -math.inf\n", "",
+     "psnr raises 'math domain error' for an infinite MSE"),
     (BASELINES, "keep[ties[: count - np.searchsorted(ranked, m)]] = True",
      "keep[ties[len(ties) - (count - np.searchsorted(ranked, m)) :]] = True",
      "a probe keeps the ties at its magnitude from the largest index"),
@@ -109,6 +113,8 @@ MUTANTS = [
      "nan magnitudes compare as nothing, so a probe past them keeps nothing"),
     (BASELINES, "max(psnr_to_block_sse(target_db, 1), PEAK**2 / sys.float_info.max)", "psnr_to_block_sse(target_db, 1)",
      "the Parseval rule settles False where the exact PSNR overflows to inf"),
+    (BASELINES, "    if not achieved >= target_db:", "    if achieved < target_db:",
+     "threshold_to_psnr reports success at a nan PSNR"),
 ]
 
 SURVIVORS = [

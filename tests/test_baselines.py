@@ -166,6 +166,19 @@ class TestThresholdToPsnr:
         with pytest.raises(ValueError, match="PSNR target must be positive"):
             threshold_to_psnr(coeffs, img, target)
 
+    @pytest.mark.parametrize(
+        "transform, bad, target", [("dct", math.inf, 40.0), ("cdf97", math.inf, 40.0), ("dct", math.nan, 400.0)]
+    )
+    def test_a_value_that_is_not_finite_reaches_no_target(self, transform, bad, target):
+        # keeping it gives a PSNR of -inf or nan; the DCT inf used to raise
+        # "math domain error", and the other two to return (1024, nan)
+        img = synthetic_image(32, 32).as_float()
+        coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=2)
+        coeffs.values.flat[5] = bad
+        # the CDF 9/7 inverse warns as an inf meets an inf of the other sign
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="unreachable even with all coefficients"):
+            threshold_to_psnr(coeffs, img, target)
+
     def test_keep_all_is_effectively_lossless(self):
         # invertibility makes any realistic target reachable; the keep-all
         # reconstruction sits at float round-off (about 300 dB here)

@@ -74,6 +74,11 @@ class TestPsnr:
         img = synthetic_image(16, 16)
         assert psnr(img, img.as_float()) == math.inf
 
+    def test_an_infinite_mse_is_minus_infinity(self):
+        # 255**2 / inf is 0, whose logarithm used to raise "math domain error"
+        assert psnr(np.zeros((2, 2)), np.array([[math.inf, 0.0], [0.0, 0.0]])) == -math.inf
+        assert math.isnan(psnr(np.zeros((2, 2)), np.array([[math.nan, 0.0], [0.0, 0.0]])))
+
 
 class TestPsnrToBlockSse:
     def test_reference_value_at_40db(self):
@@ -369,10 +374,12 @@ class TestContainer:
         with pytest.raises(ValueError, match=re.escape(f"block (0, 0) holds flat address {flat}, outside [0, {2**32})")):
             EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, MAX_N_BASE, 40.0, [1], [flat], [1.0])
 
-    def test_a_bad_flat_names_the_first_bad_block(self):
-        # 2x2 blocks; the first bad flat sits in block (1, 0), after an empty block
+    @pytest.mark.parametrize("flats", [[5, 6, 7396, -1], [5, 7396, 6, -1]])
+    def test_a_bad_flat_names_the_first_bad_block(self, flats):
+        # 2x2 blocks; the first bad flat sits in block (1, 0), after an empty
+        # block, as its second atom or as its first, where block (0, 0) ends
         with pytest.raises(ValueError, match=re.escape("block (1, 0) holds flat address 7396")):
-            EncodedImage(32, 32, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [1, 0, 2, 1], [5, 6, 7396, -1], [1.0] * 4)
+            EncodedImage(32, 32, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [1, 0, 2, 1], flats, [1.0] * 4)
 
     @pytest.mark.parametrize("counts", [[-1, 2], [2, -1, 0, 0], [0, 2, 2, -3]])
     def test_a_negative_count_is_rejected(self, counts):
@@ -413,6 +420,12 @@ class TestContainer:
             assert [enc.blocks[n].entries for n in (0, 43, -1)] == [[((0, 0), 1.0)], [((1, 0), 1.0)], [((1, 20), 1.0)]]
             assert len(enc.blocks) == 64
         assert spy.call_count == 1
+
+    def test_the_blocks_are_read_by_integer_index_only(self):
+        enc = EncodedImage(32, 16, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [1, 0], [87], [2.0])
+        assert [b.entries for b in enc.blocks] == [[((1, 1), 2.0)], []]
+        with pytest.raises(TypeError):
+            enc.blocks[0:1]  # would otherwise read as block 0 where a 1-element array converts to int
 
     def test_a_nan_target_equals_itself(self):
         # a container may carry any f64 target, and deserialize keeps it
