@@ -176,8 +176,11 @@ class TestThresholdToPsnr:
         coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=2)
         coeffs.values.flat[5] = bad
         # the CDF 9/7 inverse warns as an inf meets an inf of the other sign
-        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="unreachable even with all coefficients"):
-            threshold_to_psnr(coeffs, img, target)
+        with np.errstate(invalid="ignore"), mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
+            with pytest.raises(RuntimeError, match="unreachable even with all coefficients"):
+                threshold_to_psnr(coeffs, img, target)
+        # the last probe kept every coefficient, nan included, as the message says
+        np.testing.assert_array_equal(spy.call_args.args[0].values, coeffs.values)
 
     def test_keep_all_is_effectively_lossless(self):
         # invertibility makes any realistic target reachable; the keep-all
