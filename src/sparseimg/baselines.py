@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import PEAK, from_blocks, psnr, psnr_to_block_sse, to_blocks
+from .codec import from_blocks, psnr, psnr_to_block_sse, to_blocks
 
 DCT_KIND = "dct2_block"
 CDF97_KIND = "cdf97_full"
@@ -135,11 +134,11 @@ def threshold_to_psnr(
 
     Binary-searches the kept count along the magnitude ordering and returns
     ``(kept_count, achieved_psnr)``. The ordering is a stable sort of the
-    magnitudes, largest first: equal magnitudes go in index order, and nan
-    comes last. The search assumes that the PSNR does not fall as the count
-    grows. Keeping everything reproduces the image up to rounding; a target
-    beyond the PSNR that gives raises RuntimeError, as does a nan PSNR, which
-    meets no target, and a target that is not > 0 raises ValueError.
+    magnitudes, largest first: equal magnitudes go in index order. The
+    search assumes that the PSNR does not fall as the count grows. Keeping
+    everything reproduces the image up to rounding; a target beyond the PSNR
+    that gives raises RuntimeError, as does a nan PSNR. ValueError comes
+    first for a target not > 0 and for a nan or an inf in values or image.
 
     An exact probe at ``count`` keeps every magnitude above the ``count``-th
     largest, ``m``, and as many of those equal to ``m`` as fit, smallest index
@@ -173,24 +172,26 @@ def threshold_to_psnr(
     ``|img - inverse(values)|`` are float sums of up to ``n`` squares, in any
     order, with relative errors below ``rho = n * 2**-52``: ``tail`` is scaled by ``1 +
     rho`` for True and by ``1 - rho`` for False, and the residual by ``1 +
-    rho``. Below an MSE of ``255**2 / DBL_MAX`` the exact PSNR overflows to
-    inf and meets every target, so ``sse`` is at least ``n`` times that MSE.
-    This floor also keeps ``1e-9 * sqrt(sse)`` above ``sqrt(n) * 2**-537``,
-    the most that squares which underflow can take from a norm. An inf or nan
-    in the bounds settles nothing.
+    rho``. A square that underflows loses at most ``2**-1074``, so a norm
+    of ``n`` squares (``tail``, the residual, the exact probe's MSE) loses at
+    most ``sqrt(n) * 2**-537``. Below ``sse = n * 2**-1000`` no probe is
+    settled; above it ``1e-9 * sqrt(sse) > sqrt(n) * 2**-530`` covers all
+    three. An inf or nan in the bounds settles nothing.
 
     CDF 9/7 is not orthonormal, and no cheap sound bound on its synthesis
     error is known, so all of its probes run exactly.
     """
     psnr_to_block_sse(target_db, 1)  # raises ValueError unless target_db > 0
+    if not (np.isfinite(coeffs.values).all() and np.isfinite(img).all()):
+        raise ValueError("transform values and image must be finite")
     flat = coeffs.values.ravel()
-    ranked = _magnitude_key(flat)
-    ranked.sort()  # the one array held across the search
+    ranked = -np.abs(flat, dtype=np.float64)
+    ranked.sort()  # largest magnitude first; the one array held across the search
 
     def kept_at(count: int) -> np.ndarray:
         """``flat`` with every coefficient a probe at ``count`` drops set to 0."""
         m = ranked[count - 1] if count else -np.inf  # -inf keeps nothing
-        key = _magnitude_key(flat)
+        key = -np.abs(flat, dtype=np.float64)
         keep = key < m
         ties = np.flatnonzero(key == m)  # in index order, as the stable sort has them
         keep[ties[: count - np.searchsorted(ranked, m)]] = True
@@ -213,33 +214,25 @@ def threshold_to_psnr(
     return lo, achieved
 
 
-def _magnitude_key(flat: np.ndarray) -> np.ndarray:
-    """``-|flat|`` with nan as +inf: its stable ascending order is the search's
-    magnitude order, largest first and nan last."""
-    key = np.abs(flat, dtype=np.float64)
-    np.negative(key, out=key)
-    key[np.isnan(key)] = np.inf
-    return key
-
-
 def _parseval_settler(coeffs: TransformCoeffs, img: np.ndarray, ranked: np.ndarray, target_db: float):
     """The block-DCT probe rule of :func:`threshold_to_psnr`: a function of
     the count that returns True or False where Parseval's identity proves the
-    exact probe's answer, and None elsewhere. ``ranked`` is the sorted
-    :func:`_magnitude_key`; ``tail`` at ``count`` is the energy of
-    ``ranked[count:]``."""
+    exact probe's answer, and None elsewhere. ``ranked`` is ``-|values|``
+    sorted; ``tail`` at ``count`` is the energy of ``ranked[count:]``."""
     image = np.asarray(img, dtype=np.float64)
     residual = inverse_transform(coeffs)
     if image.shape != residual.shape:  # as psnr says it at the first exact probe
         raise ValueError(f"image dimensions differ: {image.shape} vs {residual.shape}")
+    mse = psnr_to_block_sse(target_db, 1)
+    if mse < 2.0**-1000:  # the margin no longer covers what squares that underflow can hide
+        return lambda count: None
     rho = ranked.size * 2.0**-52
     with np.errstate(over="ignore", invalid="ignore"):
         residual -= image
         delta = float(np.linalg.norm(residual)) * (1.0 + rho) + 2.0**-30 * float(
             np.linalg.norm(image) + np.linalg.norm(ranked)
         )
-    # below an MSE of 255**2 / DBL_MAX the PSNR overflows to inf, which meets any target
-    reach = math.sqrt(image.size * max(psnr_to_block_sse(target_db, 1), PEAK**2 / sys.float_info.max))
+    reach = math.sqrt(image.size * mse)
     below, above = reach * (1.0 - 1e-9) - delta, reach * (1.0 + 1e-9) + delta
 
     def settle(count: int) -> bool | None:

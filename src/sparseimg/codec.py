@@ -155,8 +155,8 @@ def clamp_to_u8(image: np.ndarray) -> np.ndarray:
 
 
 def psnr(original, approx) -> float:
-    """Peak signal-to-noise ratio in dB against a peak of 255: inf for equal
-    images, -inf for an infinite mean squared error and nan for a nan pixel."""
+    """Peak signal-to-noise ratio in dB against a peak of 255: finite for
+    every positive finite MSE, inf for an MSE of 0, -inf for inf, nan for nan."""
     a = original.as_float() if isinstance(original, ImageGray8) else np.asarray(original, float)
     b = approx.as_float() if isinstance(approx, ImageGray8) else np.asarray(approx, float)
     if a.shape != b.shape:
@@ -167,9 +167,8 @@ def psnr(original, approx) -> float:
 def _mse_to_psnr(mse: float) -> float:
     if mse == 0.0:
         return math.inf
-    if mse == math.inf:  # PEAK**2 / mse is 0, which has no logarithm
-        return -math.inf
-    return 10.0 * math.log10(PEAK**2 / mse)
+    ratio = PEAK**2 / mse  # inf below an MSE of 255**2 / DBL_MAX, 0 or nan for an inf or nan MSE
+    return 10.0 * (math.log10(ratio) if 0.0 < ratio < math.inf else 2.0 * math.log10(PEAK) - math.log10(mse))
 
 
 def psnr_to_block_sse(target_db: float, L: int) -> float:

@@ -254,11 +254,13 @@ class PursuitState:
         Number of accepted atoms.
 
     At most ``capacity`` atoms (capped at the signal dimension) are
-    accepted, but storage grows with the atoms actually accepted.
+    accepted, and storage grows with them. A nan or inf raises ValueError.
     """
 
     def __init__(self, signal: np.ndarray, capacity: int):
         signal = np.array(signal, dtype=np.float64)  # a copy, held as the row's target
+        if not np.isfinite(signal).all():
+            raise ValueError("signal holds a nan or an inf")
         self.shape = signal.shape
         self.capacity = min(int(capacity), signal.size)
         self.selected: list = []
@@ -366,20 +368,24 @@ def pursue(
     Raises :class:`PursuitExhaustedError`, with the signal's ``index``, if
     every atom of a signal gets masked while its threshold is still unmet
     and its cap unreached. A selection maximum of exactly zero stops that
-    signal's pursuit instead, since no further progress is possible.
+    signal's pursuit instead, since no further progress is possible. A
+    signal with a nan or an inf raises ValueError, naming the first.
     """
     shape = dictionary.signal_shape
     signals = np.asarray(signals, dtype=np.float64)
     if signals.shape[1:] != shape:
         raise ValueError(f"signal shape {signals.shape[1:]} does not match dictionary {shape}")
     count, dim = len(signals), int(np.prod(shape))
+    flat_signals = signals.reshape(count, dim)
+    finite = np.isfinite(flat_signals).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"signal {int(np.argmin(finite))} holds a nan or an inf")
     threshold = 0.0 if rule.mode == "max_atoms" else rule.sse_threshold
     cap = dim if rule.mode == "target_sse" else rule.atom_cap
     if cap > dim:
         raise ValueError(f"atom_cap {cap} exceeds the signal dimension {dim}")
 
     group = max(1, GROUP_ENTRIES // len(dictionary.candidates))
-    flat_signals = signals.reshape(count, dim)
     results: list = [None] * count
     steps: list | None = [] if trace is not None else None
     for start in range(0, count, group):
@@ -466,7 +472,7 @@ def run_omp(
     Raises :class:`PursuitExhaustedError` only if every atom gets masked
     while the threshold is still unmet and the cap unreached. A selection
     maximum of exactly zero stops the pursuit instead, since no further
-    progress is possible.
+    progress is possible. A nan or an inf in the signal raises ValueError.
     """
     rows: list | None = [] if trace is not None else None
     _, flats, coeffs, sse = pursue(np.asarray(signal)[None], dictionary, rule, trace=rows)

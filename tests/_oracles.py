@@ -240,8 +240,11 @@ def threshold_to_psnr(
     Binary-searches the kept count along the magnitude ordering and returns
     ``(kept_count, achieved_psnr)``. The search assumes that the PSNR does
     not fall as the count grows. Keeping everything reproduces the image up
-    to rounding; a target beyond the PSNR that gives raises RuntimeError.
+    to rounding; a target beyond the PSNR that gives raises RuntimeError. A
+    nan or an inf among the values or the pixels raises ValueError first.
     """
+    if not (np.isfinite(coeffs.values).all() and np.isfinite(img).all()):
+        raise ValueError("transform values and image must be finite")
     flat = coeffs.values.ravel()
     order = np.argsort(-np.abs(flat), kind="stable")
 

@@ -2,10 +2,13 @@
 
     python tests/mutants.py
 
-Each mutant is ``(file, old text, new text, why)``. The committed tree at
-``HEAD`` is exported with ``git archive`` into a temporary directory, the old
-text (which must occur exactly once) is replaced by the new, and
-``pytest -x -q`` runs there. A mutant is killed when the suite fails or
+Each mutant is ``(file, old text, new text, why)``. The files the suite
+reads (``src/``, ``tests/``, ``perfbench/``, ``README.md`` and
+``pyproject.toml``) are copied from the tree this script sits in into a
+temporary directory, so it runs from a clone, an unpacked archive or any
+other copy, and it judges the files as they are, committed or not. There
+the old text (which must occur exactly once) is replaced by the new, and
+``pytest -x -q`` runs. A mutant is killed when the suite fails or
 times out, and survives when it passes. A clean copy runs first, so a suite
 that already fails kills nothing by accident.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -31,6 +35,7 @@ CODEC = "src/sparseimg/codec.py"
 BASELINES = "src/sparseimg/baselines.py"
 TIMEOUT_S = 600
 WORKERS = 2
+SUITE_FILES = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 
 MUTANTS = [
     (PURSUIT, "TIE_TOL = 1e-12", "TIE_TOL = 1e-3",
@@ -50,6 +55,10 @@ MUTANTS = [
     (PURSUIT, "pos = (mag >= (top * (1.0 - TIE_TOL))[:, None]).argmax(axis=1)",
      "pos = mag.shape[1] - 1 - (mag >= (top * (1.0 - TIE_TOL))[:, None])[:, ::-1].argmax(axis=1)",
      "ties go to the largest address"),
+    (PURSUIT, "    if not finite.all():", "    if False:",
+     "pursue takes a signal that holds a nan, and its pursuit never ends"),
+    (PURSUIT, "        if not np.isfinite(signal).all():\n", "        if False:\n",
+     "the stepwise state takes a signal that holds a nan or an inf"),
     (PURSUIT, "rows.coeffs += new_row[:, K, None] * new_row[:, :K]",
      "rows.coeffs += (1 + 1e-9) * new_row[:, K, None] * new_row[:, :K]",
      "coefficient updates off by a relative 1e-9"),
@@ -98,8 +107,10 @@ MUTANTS = [
      "every enc.blocks access sums all the counts again"),
     (CODEC, "            n = _block_of(self._ends, t)\n", '            n = int(np.searchsorted(self._ends, t, side="left"))\n',
      "the constructor names the block before when the bad flat is the first atom of its block"),
-    (CODEC, "    if mse == math.inf:  # PEAK**2 / mse is 0, which has no logarithm\n        return -math.inf\n", "",
+    (CODEC, "if 0.0 < ratio < math.inf else", "if ratio < math.inf else",
      "psnr raises 'math domain error' for an infinite MSE"),
+    (CODEC, "if 0.0 < ratio < math.inf else", "if 0.0 < ratio else",
+     "psnr reads an MSE below 255**2 / DBL_MAX as inf, the PSNR of equal images"),
     (BASELINES, "keep[ties[: count - np.searchsorted(ranked, m)]] = True",
      "keep[ties[len(ties) - (count - np.searchsorted(ranked, m)) :]] = True",
      "a probe keeps the ties at its magnitude from the largest index"),
@@ -109,10 +120,12 @@ MUTANTS = [
      "the Parseval margin has no allowance for the rounding of the block products"),
     (BASELINES, "    psnr_to_block_sse(target_db, 1)  # raises ValueError unless target_db > 0\n", "",
      "threshold_to_psnr accepts a target that is not > 0"),
-    (BASELINES, "    key[np.isnan(key)] = np.inf\n", "",
-     "nan magnitudes compare as nothing, so a probe past them keeps nothing"),
-    (BASELINES, "max(psnr_to_block_sse(target_db, 1), PEAK**2 / sys.float_info.max)", "psnr_to_block_sse(target_db, 1)",
-     "the Parseval rule settles False where the exact PSNR overflows to inf"),
+    (BASELINES, "    if mse < 2.0**-1000:", "    if False:",
+     "the Parseval rule settles probes where squares that underflow hide more than its margin"),
+    (BASELINES, "np.isfinite(coeffs.values).all() and np.isfinite(img).all()", "np.isfinite(img).all()",
+     "threshold_to_psnr searches transform values that hold a nan or an inf"),
+    (BASELINES, "np.isfinite(coeffs.values).all() and np.isfinite(img).all()", "np.isfinite(coeffs.values).all()",
+     "threshold_to_psnr searches against an image that holds a nan or an inf"),
     (BASELINES, "    if not achieved >= target_db:", "    if achieved < target_db:",
      "threshold_to_psnr reports success at a nan PSNR"),
 ]
@@ -126,10 +139,15 @@ SURVIVORS = [
 ]
 
 
-def export_head(dest: Path) -> None:
-    archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, check=True, capture_output=True).stdout
+def copy_suite(dest: Path) -> None:
+    """Copy the files the suite reads, without caches or benchmark results."""
     dest.mkdir(exist_ok=True)
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    for name in SUITE_FILES:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".*", "results"))
+        else:
+            shutil.copy2(source, dest / name)
 
 
 def apply(copy: Path, file: str, old: str, new: str) -> None:
@@ -160,7 +178,7 @@ def trial(mutant, base: Path) -> str | None:
     file, old, new, _ = mutant
     with tempfile.TemporaryDirectory(dir=base) as tmp:
         copy = Path(tmp)
-        export_head(copy)
+        copy_suite(copy)
         apply(copy, file, old, new)
         return run_suite(copy)
 
@@ -169,7 +187,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp)
         clean = base / "clean"
-        export_head(clean)
+        copy_suite(clean)
         for file, old, _, _ in MUTANTS + SURVIVORS:  # every old text must match before anything runs
             apply(clean, file, old, old)
         failure = run_suite(clean)

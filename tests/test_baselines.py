@@ -166,21 +166,80 @@ class TestThresholdToPsnr:
         with pytest.raises(ValueError, match="PSNR target must be positive"):
             threshold_to_psnr(coeffs, img, target)
 
+    @staticmethod
+    def _refused(coeffs, img, target):
+        """The search raises the finite-input ValueError before any inverse transform."""
+        with mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
+            with pytest.raises(ValueError, match="transform values and image must be finite"):
+                threshold_to_psnr(coeffs, img, target)
+        spy.assert_not_called()
+
     @pytest.mark.parametrize(
         "transform, bad, target", [("dct", math.inf, 40.0), ("cdf97", math.inf, 40.0), ("dct", math.nan, 400.0)]
     )
     def test_a_value_that_is_not_finite_reaches_no_target(self, transform, bad, target):
-        # keeping it gives a PSNR of -inf or nan; the DCT inf used to raise
-        # "math domain error", and the other two to return (1024, nan)
+        # keeping it gave a PSNR of -inf or nan, and the search raised
+        # "unreachable"; before that the DCT inf raised "math domain error",
+        # and the other two returned (1024, nan)
         img = synthetic_image(32, 32).as_float()
         coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=2)
         coeffs.values.flat[5] = bad
-        # the CDF 9/7 inverse warns as an inf meets an inf of the other sign
-        with np.errstate(invalid="ignore"), mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
+        self._refused(coeffs, img, target)
+
+    @pytest.mark.parametrize(
+        "pixel, bad, target",
+        [
+            # 255 nan and one 0 for a zero image: keeping nothing gives inf dB,
+            # but the first probe kept nans and sent the search upward
+            (0.0, (math.nan, 255), 40.0),
+            # one inf for a constant-7 image: keeping nothing gives 31.2 dB
+            (7.0, (math.inf, 1), 1.0),
+        ],
+    )
+    def test_a_value_that_is_not_finite_is_refused_where_keeping_nothing_reaches_the_target(self, pixel, bad, target):
+        img = np.full((16, 16), pixel)
+        assert psnr(img, np.zeros_like(img)) >= target
+        coeffs = dct2_block_forward(img, 16)
+        value, count = bad
+        coeffs.values.flat[1 : 1 + count] = value
+        self._refused(coeffs, img, target)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("transform", ["dct", "cdf97"])
+    def test_a_pixel_that_is_not_finite_is_refused(self, transform, bad):
+        img = synthetic_image(32, 32).as_float()
+        coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=2)
+        img[3, 4] = bad
+        self._refused(coeffs, img, 40.0)
+
+    def test_finite_values_whose_inverse_is_nan_reach_no_target(self):
+        # each column of the first block product overflows to inf, and the
+        # second mixes infs of both signs: every probe's PSNR is nan
+        values = np.full((4, 4), 1e308)
+        coeffs = TransformCoeffs(kind=baselines.DCT_KIND, values=values, block_size=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(psnr(np.zeros((4, 4)), inverse_transform(coeffs)))
             with pytest.raises(RuntimeError, match="unreachable even with all coefficients"):
-                threshold_to_psnr(coeffs, img, target)
-        # the last probe kept every coefficient, nan included, as the message says
-        np.testing.assert_array_equal(spy.call_args.args[0].values, coeffs.values)
+                threshold_to_psnr(coeffs, np.zeros((4, 4)), 40.0)
+
+    def test_an_image_of_another_shape_is_refused_before_any_probe(self):
+        img = synthetic_image(32, 32).as_float()
+        coeffs = dct2_block_forward(img, 16)
+        with mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
+            with pytest.raises(ValueError, match=r"image dimensions differ: \(32, 16\) vs \(32, 32\)"):
+                threshold_to_psnr(coeffs, img[:, :16], 40.0)
+        assert spy.call_count == 1  # the keep-all residual, before any probe
+
+    @pytest.mark.parametrize("target", [3300.0, 1e6])
+    def test_no_probe_is_settled_where_squares_underflow(self, target):
+        # the pixels of 1e-162 square to 0, so keeping nothing reads as
+        # lossless; Parseval's tail of 4e-162 squared would call it a miss
+        values = np.zeros((4, 4))
+        values[0, 0] = 4e-162
+        coeffs = TransformCoeffs(kind=baselines.DCT_KIND, values=values, block_size=4)
+        img = dct2_block_inverse(coeffs)
+        assert psnr(img, np.zeros_like(img)) == math.inf
+        assert threshold_to_psnr(coeffs, img, target) == (0, math.inf)
 
     def test_keep_all_is_effectively_lossless(self):
         # invertibility makes any realistic target reachable; the keep-all

@@ -79,6 +79,12 @@ class TestPsnr:
         assert psnr(np.zeros((2, 2)), np.array([[math.inf, 0.0], [0.0, 0.0]])) == -math.inf
         assert math.isnan(psnr(np.zeros((2, 2)), np.array([[math.nan, 0.0], [0.0, 0.0]])))
 
+    @pytest.mark.parametrize("error, db", [(1e-150, 3048.1308036), (1e-153, 3108.1308036)])
+    def test_a_positive_mse_is_finite(self, error, db):
+        # 255**2 / mse overflows below an MSE of about 3.6e-304, and an MSE
+        # of 1e-306 used to read as inf, the PSNR of equal images
+        assert psnr(np.zeros((2, 2)), np.full((2, 2), error)) == pytest.approx(db, abs=1e-6)
+
 
 class TestPsnrToBlockSse:
     def test_reference_value_at_40db(self):
@@ -434,6 +440,25 @@ class TestContainer:
         enc = deserialize(data)
         assert enc == enc
         assert deserialize(data) != deserialize(data[:-10] + struct.pack("<dH", 40.0, 0))
+
+    def test_an_image_equals_no_other_type(self):
+        enc = EncodedImage(16, 16, 16, DictionaryKind.DCT2_LINEAR, 86, 40.0, [1], [87], [2.0])
+        assert enc.__eq__((16, 16)) is NotImplemented
+        assert enc != (16, 16)
+        assert not enc == serialize(enc)
+
+    def test_repr_names_the_header_and_the_column_sizes(self):
+        enc = EncodedImage(32, 16, 8, DictionaryKind.DCT2_LINEAR, 46, 40.0, [1, 0, 2, 0, 0, 0, 0, 0], [3, 5, 7], [1.0, 2.0, 3.0])
+        assert repr(enc) == (
+            "EncodedImage(width=32, height=16, block_size=8, kind=<DictionaryKind.DCT2_LINEAR: 'dct2_linear'>, "
+            "n_base=46, target_psnr=40.0, <8 blocks of 3 atoms>)"
+        )
+
+    def test_an_unsupported_version_is_rejected(self):
+        header = struct.pack("<4sHIIHBId", b"SIC1", 2, 16, 16, 16, DictionaryKind.DCT2_LINEAR.wire_code, 86, 40.0)
+        with pytest.raises(ContainerError, match="unsupported container version 2") as excinfo:
+            deserialize(header + struct.pack("<H", 0))
+        assert excinfo.value.offset == 4
 
     @pytest.mark.parametrize("coeff", [math.nan, math.inf, -1e301])
     def test_coefficient_that_would_not_read_back(self, coeff):

@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from sparseimg import (
     run_omp,
     select_atom,
 )
+import sparseimg
 from sparseimg.pursuit import pursue
 
 from _oracles import least_squares_coeffs
@@ -543,3 +548,68 @@ class TestRunOmp:
         print(f"Gram deviation after {state.k} iterations: {deviation:.3e}")
         assert state.k == 256
         assert deviation < 1e-10
+
+
+class TestNonFiniteSignals:
+    # Each call used to loop forever: the selection maximum of a nan residual
+    # is nan, which neither stops the pursuit nor exhausts it. The calls run
+    # in a child process, so a pursuit that never returns fails the test
+    # after TIMEOUT_S instead of hanging the suite.
+    TIMEOUT_S = 20
+    CHILD = textwrap.dedent(
+        """
+        import numpy as np
+        from sparseimg import (
+            Dictionary2D, DictionaryKind, MatrixDictionary, PursuitState, StoppingRule, assemble_dictionary, run_omp,
+        )
+        from sparseimg.pursuit import pursue
+
+        class Counted:
+            def __init__(self, inner):
+                self.inner, self.correlations = inner, 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def correlate(self, residual):
+                self.correlations += 1
+                return self.inner.correlate(residual)
+
+        rule = StoppingRule("target_sse", 1.0)
+        block = np.zeros((8, 8))
+        block[3, 5] = np.nan
+        stack = np.zeros((5, 4))
+        stack[3, 1] = np.inf
+        cases = [
+            (MatrixDictionary(np.eye(4)), lambda d: run_omp(np.full(4, np.nan), d, rule)),
+            (MatrixDictionary(np.eye(4)), lambda d: run_omp(np.array([1.0, np.inf, 0.0, 0.0]), d, rule)),
+            (Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 8)), lambda d: run_omp(block, d, rule)),
+            (MatrixDictionary(np.eye(4)), lambda d: pursue(stack, d, rule)),
+            (None, lambda d: PursuitState(np.full(4, -np.inf), 4)),
+        ]
+        for inner, call in cases:
+            d = Counted(inner)
+            try:
+                call(d)
+                print("returned", flush=True)
+            except ValueError as exc:
+                print(f"{exc} | {d.correlations} correlations", flush=True)
+        """
+    )
+
+    def test_a_signal_that_is_not_finite_is_refused_before_any_correlation(self):
+        env = {"PYTHONPATH": str(Path(sparseimg.__file__).resolve().parents[1]), "OMP_NUM_THREADS": "1"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", self.CHILD], env=env, capture_output=True, text=True, timeout=self.TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"a pursuit did not return within {self.TIMEOUT_S} s")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "signal 0 holds a nan or an inf | 0 correlations",
+            "signal 0 holds a nan or an inf | 0 correlations",
+            "signal 0 holds a nan or an inf | 0 correlations",
+            "signal 3 holds a nan or an inf | 0 correlations",
+            "signal holds a nan or an inf | 0 correlations",
+        ]
