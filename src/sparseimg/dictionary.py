@@ -21,17 +21,15 @@ example. Every atom keeps its address, but each group of equal atoms has one
 canonical member, its smallest index, and pursuit selects only 2D atoms
 whose two factors are both canonical.
 
-Dictionaries are immutable after construction (atom arrays are marked
+Dictionaries are immutable after construction (their arrays are marked
 read-only).
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
@@ -42,9 +40,6 @@ DILATIONS = (1, 2, 3)
 # Gram matrix, the squared distance of equal atoms is rounding, at most
 # 2.2e-16 for L = 5..255; distinct atoms are at least 2.2e-3 apart.
 TWIN_TOL = 1e-9
-
-COSINE_FAMILY = "cosine"
-SPLINE_FAMILY = "spline"
 
 
 class DictionaryKind(str, enum.Enum):
@@ -106,10 +101,11 @@ class Prototype:
 
     ``values[k]`` is the spline of order ``order`` evaluated at
     ``(k + 1) / dilation``; the samples are symmetric, strictly positive and
-    ``m * dilation - 1`` of them are nonzero.
+    ``m * dilation - 1`` of them are nonzero. Prototypes compare and hash on
+    ``(order, dilation)``, which determine the samples.
     """
 
-    values: np.ndarray
+    values: np.ndarray = field(compare=False)
     order: int
     dilation: int
 
@@ -135,81 +131,45 @@ def sample_prototype(m: int, dilation: int) -> Prototype:
     return Prototype(values=_readonly(values), order=m, dilation=dilation)
 
 
-@dataclass(frozen=True)
-class Atom1D:
-    """A unit-norm length-``L`` dictionary vector.
-
-    ``sub_dict`` is 0 for cosine atoms and the prototype support for spline
-    atoms; ``label`` indexes the atom inside its sub-dictionary. Spline atoms
-    are exactly zero outside ``[support_start, support_start + support_len)``.
-    """
-
-    values: np.ndarray
-    support_start: int
-    support_len: int
-    family: str
-    sub_dict: int
-    label: int
-
-
-def build_spline_subdict(proto: Prototype, L: int) -> list[Atom1D]:
+def build_spline_subdict(proto: Prototype, L: int) -> np.ndarray:
     """Translate ``proto`` one sample at a time across a length-``L`` block.
 
     Every translate whose nonzero samples intersect the block is kept; samples
     falling outside are cut off and the remainder is renormalized to unit
-    norm. The result has ``L + support - 1`` atoms ordered by increasing
-    translation.
+    norm. Returns the ``L + support - 1`` atoms, by increasing translation,
+    as the columns of a read-only ``L x (L + support - 1)`` array; atom ``t``
+    is nonzero exactly on ``[max(0, t - support + 1), min(L, t + 1))``.
     """
     s = proto.support
     if L < s:
         raise ValueError(f"block length {L} is smaller than the prototype support {s}")
-    atoms = []
-    for label, t in enumerate(range(1 - s, L)):
+    atoms = np.zeros((L + s - 1, L), dtype=np.float64)
+    for row, t in zip(atoms, range(1 - s, L)):
         lo, hi = max(0, t), min(L, t + s)
-        vals = np.zeros(L, dtype=np.float64)
-        vals[lo:hi] = proto.values[lo - t : hi - t]
-        vals /= np.linalg.norm(vals)
-        atoms.append(
-            Atom1D(
-                values=_readonly(vals),
-                support_start=lo,
-                support_len=hi - lo,
-                family=SPLINE_FAMILY,
-                sub_dict=s,
-                label=label,
-            )
-        )
-    return atoms
+        row[lo:hi] = proto.values[lo - t : hi - t]
+        row /= np.linalg.norm(row)
+    return _readonly(atoms.T)
 
 
-def build_cosine_dict(L: int, M: int) -> list[Atom1D]:
+def build_cosine_dict(L: int, M: int) -> np.ndarray:
     """Build the redundancy-2 cosine dictionary of ``M = 2L`` dense atoms.
 
     Atom ``i`` (0-based) has entries ``cos(pi * (2j - 1) * i / (4L))`` for
     ``j = 1..L``, rescaled to unit Euclidean norm; atom 0 is the constant
     vector. The odd-frequency half coincides with the orthonormal DCT-II
-    basis.
+    basis. Returns the atoms as the columns of a read-only ``L x M`` array.
     """
     if L < 1:
         raise ValueError(f"block length must be positive, got {L}")
     if M != 2 * L:
         raise ValueError(f"cosine dictionary has redundancy 2: expected M = {2 * L}, got {M}")
     j = np.arange(1, L + 1, dtype=np.float64)
-    atoms = []
-    for idx in range(M):
-        vals = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))
-        vals /= np.linalg.norm(vals)
-        atoms.append(
-            Atom1D(
-                values=_readonly(vals),
-                support_start=0,
-                support_len=L,
-                family=COSINE_FAMILY,
-                sub_dict=0,
-                label=idx,
-            )
-        )
-    return atoms
+    atoms = np.empty((M, L), dtype=np.float64)
+    # one row at a time: a norm over a whole axis rounds some atoms differently
+    for idx, row in enumerate(atoms):
+        row[:] = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))
+        row /= np.linalg.norm(row)
+    return _readonly(atoms.T)
 
 
 @dataclass(frozen=True)
@@ -217,16 +177,17 @@ class Dictionary1D:
     """Ordered 1D dictionary: cosine atoms first, then spline sub-dictionaries
     by increasing support, each by increasing translation.
 
-    ``matrix`` stacks the atoms column-wise (``L x n_atoms``) for separable
+    ``matrix`` holds the atoms as columns (``L x n_atoms``) for separable
     correlation; ``gram`` is ``matrix^T matrix``. ``canonical[a]`` is the
     smallest index of an atom equal to atom ``a`` (see ``TWIN_TOL``), so it
-    is ``a`` itself for every atom without a lower twin.
+    is ``a`` itself for every atom without a lower twin. The matrix is a
+    function of ``kind`` and ``block_len``, so dictionaries compare and hash
+    on those two.
     """
 
     kind: DictionaryKind
     block_len: int
-    atoms: tuple[Atom1D, ...]
-    matrix: np.ndarray
+    matrix: np.ndarray = field(compare=False)
     gram: np.ndarray = field(init=False, repr=False, compare=False)
     canonical: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -238,11 +199,11 @@ class Dictionary1D:
         object.__setattr__(self, "canonical", _readonly(np.argmax(equal, axis=1)))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.matrix.shape[1]
 
     @property
     def redundancy(self) -> float:
-        return len(self.atoms) / self.block_len
+        return len(self) / self.block_len
 
 
 def assemble_dictionary(kind: DictionaryKind, L: int) -> Dictionary1D:
@@ -252,11 +213,9 @@ def assemble_dictionary(kind: DictionaryKind, L: int) -> Dictionary1D:
     # The widest prototype is built first, so a block too short for the
     # family is rejected with the support it would need.
     splines = [build_spline_subdict(sample_prototype(m, d), L) for d in reversed(DILATIONS)]
-    atoms = build_cosine_dict(L, 2 * L)
-    for subdict in reversed(splines):  # in increasing dilation
-        atoms.extend(subdict)
-    matrix = _readonly(np.column_stack([a.values for a in atoms]))
-    return Dictionary1D(kind=kind, block_len=L, atoms=tuple(atoms), matrix=matrix)
+    # row-major, as the products over the matrix are rounded for that layout
+    matrix = np.ascontiguousarray(np.hstack([build_cosine_dict(L, 2 * L), *reversed(splines)]))
+    return Dictionary1D(kind=kind, block_len=L, matrix=_readonly(matrix))
 
 
 class Dictionary2D:
@@ -417,17 +376,3 @@ class MatrixDictionary:
     def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``: ``M[:, I] c``."""
         return np.matmul(coeffs[..., None, :], self._rows[flats])[..., 0, :]
-
-
-DUMP_COLUMNS = ("family", "sub_dict", "label", "support_start", "support_len")
-
-
-def dump_csv(dictionary: Dictionary1D, stream: TextIO) -> None:
-    """Write the atom table as CSV (one row per atom, values in shortest repr)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(DUMP_COLUMNS + tuple(f"v{k}" for k in range(dictionary.block_len)))
-    for atom in dictionary.atoms:
-        writer.writerow(
-            [atom.family, atom.sub_dict, atom.label, atom.support_start, atom.support_len]
-            + [repr(float(v)) for v in atom.values]
-        )

@@ -60,10 +60,13 @@ DEP_TOL = 1e-14
 # tie even when they are not equal in exact arithmetic.
 TIE_TOL = 1e-12
 
-# Correlation entries a group of signals may hold at once. A group has
-# GROUP_ENTRIES // len(dictionary.candidates) signals: 81 blocks at L = 8
-# (1,600 candidates), 20 at L = 16 linear (6,400), 15 at L = 16 cubic. Each
-# correlation stack of a group takes at most 1 MB.
+# About how many correlation entries a group of signals holds. A stack is
+# split into round(count * len(dictionary.candidates) / GROUP_ENTRIES) groups
+# (at least one) whose sizes differ by at most one: a 512 x 512 image is 50
+# groups of 81-82 blocks at L = 8 (1,600 candidates), 50 of 20-21 at L = 16
+# linear (6,400) and 66 of 15-16 at L = 16 cubic (8,464); a 64 x 64 tile at
+# L = 16 is one group of 16 blocks. Each correlation stack of a group takes
+# about 1 MB, and less than 1.5 MB up to L = 32.
 GROUP_ENTRIES = 1 << 17
 
 STOP_MODES = ("target_sse", "max_atoms", "both")
@@ -361,7 +364,8 @@ def pursue(
     the flat indices and coefficients of every signal's atoms one signal
     after another, in selection order, and each signal's residual sum of
     squares; each signal's are what :func:`run_omp` gives it alone. Signals
-    are pursued in groups of ``GROUP_ENTRIES // len(dictionary.candidates)``.
+    are pursued in consecutive groups of near-equal size, ``round(count *
+    len(dictionary.candidates) / GROUP_ENTRIES)`` groups (at least one).
     When ``trace`` is a list, one ``(index, k, address, abs_corr, sse)``
     tuple is appended per accepted atom, ordered by signal and then by ``k``.
 
@@ -385,11 +389,10 @@ def pursue(
     if cap > dim:
         raise ValueError(f"atom_cap {cap} exceeds the signal dimension {dim}")
 
-    group = max(1, GROUP_ENTRIES // len(dictionary.candidates))
-    results: list = [None] * count
+    groups = max(1, min(count, round(count * len(dictionary.candidates) / GROUP_ENTRIES)))
+    results = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0))]
     steps: list | None = [] if trace is not None else None
-    for start in range(0, count, group):
-        ids = np.arange(start, min(start + group, count))
+    for ids in np.array_split(np.arange(count), groups):
         _pursue_group(
             _Rows(ids, flat_signals[ids], _capacity(0, cap)),
             dictionary, threshold, cap, results, steps,
@@ -400,14 +403,10 @@ def pursue(
         order = np.lexsort((k, index))
         for t in order.tolist():
             trace.append((int(index[t]), int(k[t]), dictionary.address_of(flat[t]), float(corr[t]), float(sse[t])))
-    flats, coeffs, sse = zip(*results) if results else ((), (), ())
-    counts = np.array([len(f) for f in flats], dtype=np.intp)
-    return (
-        counts,
-        np.concatenate((np.zeros(0, np.intp), *flats)),
-        np.concatenate((np.zeros(0), *coeffs)),
-        np.array(sse, dtype=np.float64),
-    )
+    ids, counts, flats, coeffs, sse = (np.concatenate(column) for column in zip(*results))
+    order = np.argsort(ids)
+    atoms = np.argsort(np.repeat(ids, counts), kind="stable")
+    return counts[order], flats[atoms], coeffs[atoms], sse[order]
 
 
 def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: list, steps) -> None:
@@ -448,13 +447,14 @@ def _pursue_group(rows: _Rows, dictionary, threshold: float, cap: int, results: 
 
 
 def _finish(rows: _Rows, done: np.ndarray, results: list) -> None:
-    """Retire the live rows where ``done`` holds, recording their results."""
+    """Retire the live rows where ``done`` holds, appending their ids, atom
+    counts, atoms (row after row) and SSEs to ``results``."""
     which = np.flatnonzero(done & rows.live)
-    for r in which.tolist():
-        k = rows.k[r]
-        # copies: a view would keep the group's arrays alive
-        results[rows.ids[r]] = (rows.flats[r, :k].copy(), rows.coeffs[r, :k].copy(), rows.sse[r])
-    rows.live[which] = False
+    if len(which):
+        k = rows.k[which]
+        keep = np.arange(rows.capacity) < k[:, None]
+        results.append((rows.ids[which], k, rows.flats[which][keep], rows.coeffs[which][keep], rows.sse[which]))
+        rows.live[which] = False
 
 
 def run_omp(

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes results along a different route than the package:
-exact rational truncated-power sums, dense flattened inner products,
+exact rational truncated-power sums, the 1D dictionary one atom at a time,
+dense flattened inner products,
 normal-equations solves, direct filter-bank convolution, the ``.sic``
 container written and read one entry at a time, and the baselines' kept
 count found with one inverse transform per probe.
@@ -18,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from sparseimg import DictionaryKind, EncodedImage, SparseBlock, TransformCoeffs
+from sparseimg import DictionaryKind, EncodedImage, SparseBlock, TransformCoeffs, sample_prototype
 from sparseimg.baselines import inverse_transform
+from sparseimg.dictionary import DILATIONS
 from sparseimg.codec import (
     _HEADER,
     MAGIC,
@@ -64,6 +66,41 @@ def least_squares_coeffs(dictionary, addresses, signal: np.ndarray) -> np.ndarra
     A = np.column_stack([dictionary.atom_flat(dictionary.flat_index(a)) for a in addresses])
     coeffs, *_ = np.linalg.lstsq(A, np.asarray(signal, float).ravel(), rcond=None)
     return coeffs
+
+
+# The 1D dictionary built one atom at a time, each into an array of its own,
+# and stacked column by column.
+
+
+def dictionary_matrix(kind: DictionaryKind, L: int) -> np.ndarray:
+    """``L x n_atoms`` matrix of the 1D dictionary of ``kind``."""
+    m = DictionaryKind(kind).spline_order
+    atoms = _cosine_atoms(L, 2 * L)
+    for d in DILATIONS:
+        atoms.extend(_spline_atoms(sample_prototype(m, d), L))
+    return np.column_stack(atoms)
+
+
+def _spline_atoms(proto, L: int) -> list[np.ndarray]:
+    s = proto.support
+    atoms = []
+    for label, t in enumerate(range(1 - s, L)):
+        lo, hi = max(0, t), min(L, t + s)
+        vals = np.zeros(L, dtype=np.float64)
+        vals[lo:hi] = proto.values[lo - t : hi - t]
+        vals /= np.linalg.norm(vals)
+        atoms.append(vals)
+    return atoms
+
+
+def _cosine_atoms(L: int, M: int) -> list[np.ndarray]:
+    j = np.arange(1, L + 1, dtype=np.float64)
+    atoms = []
+    for idx in range(M):
+        vals = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))
+        vals /= np.linalg.norm(vals)
+        atoms.append(vals)
+    return atoms
 
 
 # Published CDF 9/7 analysis filter taps, unit-DC-gain normalization: the

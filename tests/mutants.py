@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PURSUIT = "src/sparseimg/pursuit.py"
 CODEC = "src/sparseimg/codec.py"
 BASELINES = "src/sparseimg/baselines.py"
+DICTIONARY = "src/sparseimg/dictionary.py"
 TIMEOUT_S = 600
 WORKERS = 2
 SUITE_FILES = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
@@ -59,6 +60,9 @@ MUTANTS = [
      "pursue takes a signal that holds a nan, and its pursuit never ends"),
     (PURSUIT, "        if not np.isfinite(signal).all():\n", "        if False:\n",
      "the stepwise state takes a signal that holds a nan or an inf"),
+    (PURSUIT, "min(count, round(count * len(dictionary.candidates) / GROUP_ENTRIES))",
+     "min(count, math.ceil(count * len(dictionary.candidates) / GROUP_ENTRIES))",
+     "a stack a little over one group's entries is split in two"),
     (PURSUIT, "rows.coeffs += new_row[:, K, None] * new_row[:, :K]",
      "rows.coeffs += (1 + 1e-9) * new_row[:, K, None] * new_row[:, :K]",
      "coefficient updates off by a relative 1e-9"),
@@ -128,6 +132,14 @@ MUTANTS = [
      "threshold_to_psnr searches against an image that holds a nan or an inf"),
     (BASELINES, "    if not achieved >= target_db:", "    if achieved < target_db:",
      "threshold_to_psnr reports success at a nan PSNR"),
+    (DICTIONARY,
+     "        row[:] = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))\n        row /= np.linalg.norm(row)\n",
+     "        row[:] = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))\n"
+     "    atoms /= np.linalg.norm(atoms, axis=1)[:, None]\n",
+     "the cosine atoms are normalized by one norm over the axis, which rounds some entries differently"),
+    (DICTIONARY, "        row[lo:hi] = proto.values[lo - t : hi - t]\n        row /= np.linalg.norm(row)\n",
+     "        row[lo:hi] = proto.values[lo - t : hi - t]\n        row /= np.linalg.norm(proto.values)\n",
+     "a spline translate cut at the block boundary is scaled by the whole prototype's norm"),
 ]
 
 SURVIVORS = [

@@ -138,10 +138,10 @@ class TestEncode:
 
     @pytest.mark.parametrize("L", [16, 8])
     def test_blocks_do_not_depend_on_their_group(self, L):
-        # The image's blocks are pursued in groups of 20 (L = 16) or 81
-        # (L = 8) consecutive blocks, the tile's in one group of its own and
-        # run_omp's in groups of one: each block must come out bit for bit
-        # the same.
+        # The image's blocks are pursued in 6 groups of 21-22 (L = 16) or
+        # 85-86 (L = 8) consecutive blocks, the tile's in one group of its
+        # own and run_omp's in groups of one: each block must come out bit
+        # for bit the same.
         d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
         noise = np.random.default_rng(6).normal(0.0, 6.0, size=(128, 256))
         pixels = np.clip(np.rint(synthetic_image(128, 256).as_float() + noise), 0, 255)
@@ -162,7 +162,7 @@ class TestEncode:
 
     def test_peak_memory_is_bounded_by_the_group_budget(self, dict2_cubic16):
         # Noise over texture takes up to ~90 atoms per block. The encoded
-        # columns hold about 0.3 MB (20,079 atoms). A group holds GROUP_ENTRIES // 8,464 = 15
+        # columns hold about 0.3 MB (20,079 atoms). The 256 blocks make 17 groups of 15-16
         # blocks, each with about 0.35 MB: its rows of the correlation stacks
         # (correlations, magnitudes, target correlations; ~70 KB each) and a
         # factor of up to 128 x 130 doubles (133 KB), briefly twice when it

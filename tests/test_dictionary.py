@@ -1,3 +1,4 @@
+import csv
 import io
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparseimg import (
+    Dictionary1D,
     Dictionary2D,
     DictionaryKind,
     assemble_dictionary,
@@ -15,11 +17,30 @@ from sparseimg import (
     eval_bspline,
     sample_prototype,
 )
-from sparseimg.dictionary import dump_csv
+from sparseimg.dictionary import DILATIONS
 
+import _oracles
 from _oracles import brute_correlations, bspline_fraction, flattened_atoms
 
 GOLDEN = Path(__file__).parent / "data" / "dict_linear_L8.csv"
+
+
+def support(L: int, s: int, label: int) -> slice:
+    """Where translate ``label`` of a prototype with ``s`` samples is nonzero."""
+    return slice(max(0, label - s + 1), min(L, label + 1))
+
+
+def atom_table(d) -> list[tuple]:
+    """``(family, sub_dict, label, support, column)`` of each atom, in order:
+    ``2L`` cosines, then the ``L + s - 1`` translates of each spline
+    prototype by increasing support ``s``."""
+    L = d.block_len
+    rows = [("cosine", 0, label, slice(0, L)) for label in range(2 * L)]
+    for dilation in DILATIONS:
+        s = sample_prototype(d.kind.spline_order, dilation).support
+        rows += [("spline", s, label, support(L, s, label)) for label in range(L + s - 1)]
+    assert len(rows) == len(d)
+    return [row + (column,) for row, column in zip(rows, d.matrix.T)]
 
 
 class TestEvalBspline:
@@ -109,35 +130,32 @@ class TestSamplePrototype:
 class TestBuildSplineSubdict:
     def test_unit_support_reproduces_euclidean_basis(self):
         atoms = build_spline_subdict(sample_prototype(2, 1), 16)
-        assert len(atoms) == 16
-        np.testing.assert_array_equal(
-            np.column_stack([a.values for a in atoms]), np.eye(16)
-        )
+        np.testing.assert_array_equal(atoms, np.eye(16))
 
     def test_hat_dilation2_count_and_boundary_truncation(self):
         atoms = build_spline_subdict(sample_prototype(2, 2), 16)
-        assert len(atoms) == 18
+        assert atoms.shape == (16, 18)
         # leftmost translate keeps a single tail sample and renormalizes to e1;
         # the next one is the truncated tail [1, 1/2, 0, ...] renormalized
-        np.testing.assert_array_equal(atoms[0].values, np.eye(16)[0])
+        np.testing.assert_array_equal(atoms[:, 0], np.eye(16)[0])
         expected = np.zeros(16)
         expected[:2] = [1.0, 0.5]
         expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(atoms[1].values, expected, atol=1e-15)
+        np.testing.assert_allclose(atoms[:, 1], expected, atol=1e-15)
 
     def test_support5_count(self):
-        assert len(build_spline_subdict(sample_prototype(2, 3), 16)) == 20
+        assert build_spline_subdict(sample_prototype(2, 3), 16).shape == (16, 20)
 
     @pytest.mark.parametrize("m, d", [(2, 2), (2, 3), (4, 2), (4, 3)])
     def test_atoms_unit_norm_nonnegative_and_masked_outside_support(self, m, d):
-        atoms = build_spline_subdict(sample_prototype(m, d), 16)
-        for atom in atoms:
-            np.testing.assert_allclose(np.linalg.norm(atom.values), 1.0, atol=1e-12)
-            assert np.all(atom.values >= 0)
-            lo, hi = atom.support_start, atom.support_start + atom.support_len
-            assert np.all(atom.values[:lo] == 0.0)
-            assert np.all(atom.values[hi:] == 0.0)
-            assert np.all(atom.values[lo:hi] > 0.0)
+        proto = sample_prototype(m, d)
+        atoms = build_spline_subdict(proto, 16)
+        for label, atom in enumerate(atoms.T):
+            np.testing.assert_allclose(np.linalg.norm(atom), 1.0, atol=1e-12)
+            inside = np.zeros(16, dtype=bool)
+            inside[support(16, proto.support, label)] = True
+            assert np.all(atom[inside] > 0.0)
+            assert np.all(atom[~inside] == 0.0)
 
     def test_block_shorter_than_support(self):
         with pytest.raises(ValueError, match="support"):
@@ -155,10 +173,10 @@ class TestBuildSplineSubdict:
                 assert interior.stop > interior.start
                 for residue in range(d):
                     total = np.zeros(L)
-                    for atom in build_spline_subdict(proto, L):
-                        t = atom.label - (s - 1)  # translation offset
-                        if atom.support_len == s and t % d == residue:
-                            total += atom.values * scale
+                    for label, atom in enumerate(build_spline_subdict(proto, L).T):
+                        t = label - (s - 1)  # translation offset
+                        if 0 <= t <= L - s and t % d == residue:
+                            total += atom * scale
                     np.testing.assert_allclose(
                         total[interior], 1.0, atol=1e-12,
                         err_msg=f"m={m} d={d} residue={residue}",
@@ -168,22 +186,22 @@ class TestBuildSplineSubdict:
 class TestBuildCosineDict:
     def test_first_atom_constant(self):
         atoms = build_cosine_dict(16, 32)
-        np.testing.assert_array_equal(atoms[0].values, np.full(16, 0.25))
+        assert atoms.shape == (16, 32)
+        np.testing.assert_array_equal(atoms[:, 0], np.full(16, 0.25))
 
     def test_all_unit_norm(self):
-        for atom in build_cosine_dict(16, 32):
-            assert abs(np.linalg.norm(atom.values) - 1.0) <= 1e-12
+        for atom in build_cosine_dict(16, 32).T:
+            assert abs(np.linalg.norm(atom) - 1.0) <= 1e-12
 
     def test_odd_indexed_atoms_are_orthonormal(self):
         # 1-based odd atoms coincide with the DCT-II rows: brute-force Gram
-        atoms = build_cosine_dict(16, 32)
-        sub = np.column_stack([atoms[i].values for i in range(0, 32, 2)])
+        sub = build_cosine_dict(16, 32)[:, 0::2]
         np.testing.assert_allclose(sub.T @ sub, np.eye(16), atol=1e-12)
 
     def test_atoms_are_dense(self):
-        for atom in build_cosine_dict(16, 32):
-            assert atom.support_start == 0
-            assert atom.support_len == 16
+        # cos(pi/2) rounds to 6e-17, so an atom with a node at a sample is
+        # still nonzero there
+        assert np.all(build_cosine_dict(12, 24) != 0.0)
 
     def test_block_length_must_be_positive(self):
         with pytest.raises(ValueError, match="block length must be positive, got 0"):
@@ -202,34 +220,60 @@ class TestAssembleDictionary:
     def test_cubic_atom_count(self, dict1_cubic16):
         assert len(dict1_cubic16) == 98
 
-    def test_subdictionary_layout(self, dict1_linear16):
-        families = [(a.family, a.sub_dict) for a in dict1_linear16.atoms]
-        assert families[:32] == [("cosine", 0)] * 32
-        assert families[32:48] == [("spline", 1)] * 16
-        assert families[48:66] == [("spline", 3)] * 18
-        assert families[66:86] == [("spline", 5)] * 20
+    def test_subdictionary_layout(self, dict1_linear16, dict1_cubic16):
+        # each block of columns is its builder's output, in order
+        for d in (dict1_linear16, dict1_cubic16):
+            at = 32
+            np.testing.assert_array_equal(d.matrix[:, :at], build_cosine_dict(16, 32))
+            for dilation in DILATIONS:
+                sub = build_spline_subdict(sample_prototype(d.kind.spline_order, dilation), 16)
+                np.testing.assert_array_equal(d.matrix[:, at : at + sub.shape[1]], sub)
+                at += sub.shape[1]
+            assert at == len(d)
 
     def test_labels_count_translations(self, dict1_linear16):
-        labels = [a.label for a in dict1_linear16.atoms[48:66]]
-        assert labels == list(range(18))
+        # translate t of the support-3 hat starts at t - 2, cut at both ends
+        for label, atom in enumerate(dict1_linear16.matrix[:, 48:66].T):
+            assert np.flatnonzero(atom).tolist() == list(range(16))[support(16, 3, label)]
 
     def test_deterministic_rebuild_is_bit_identical(self, dict1_linear16):
         rebuilt = assemble_dictionary(DictionaryKind.DCT2_LINEAR, 16)
-        np.testing.assert_array_equal(rebuilt.matrix, dict1_linear16.matrix)
-        for a, b in zip(rebuilt.atoms, dict1_linear16.atoms):
-            np.testing.assert_array_equal(a.values, b.values)
+        assert rebuilt.matrix.tobytes() == dict1_linear16.matrix.tobytes()
 
-    def test_matrix_stacks_atoms(self, dict1_linear16):
-        np.testing.assert_array_equal(
-            dict1_linear16.matrix,
-            np.column_stack([a.values for a in dict1_linear16.atoms]),
-        )
+    def test_matrix_stacks_atoms(self):
+        # bit for bit the atoms built one at a time, and laid out row-major,
+        # as the products over it are rounded for that layout
+        cases = [(k, L) for k in DictionaryKind for L in (11, 12, 16, 24, 32, 64)]
+        for kind, L in cases + [(DictionaryKind.DCT2_LINEAR, 5), (DictionaryKind.DCT2_LINEAR, 8)]:
+            d = assemble_dictionary(kind, L)
+            expected = _oracles.dictionary_matrix(kind, L)
+            assert d.matrix.flags.c_contiguous
+            assert d.matrix.tobytes() == expected.tobytes(), (kind, L)
+            assert d.gram.tobytes() == (expected.T @ expected).tobytes(), (kind, L)
 
     def test_atoms_are_read_only(self, dict1_linear16):
-        with pytest.raises(ValueError):
-            dict1_linear16.matrix[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            dict1_linear16.atoms[0].values[0] = 5.0
+        for array in (
+            dict1_linear16.matrix,
+            dict1_linear16.gram,
+            build_cosine_dict(8, 16),
+            build_spline_subdict(sample_prototype(4, 2), 8),
+        ):
+            with pytest.raises(ValueError):
+                array[0, 0] = 5.0
+
+    def test_equality_and_hash_follow_what_determines_the_atoms(self):
+        linear = assemble_dictionary(DictionaryKind.DCT2_LINEAR, 16)
+        assert linear == assemble_dictionary(DictionaryKind.DCT2_LINEAR, 16)
+        assert hash(linear) == hash(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 16))
+        assert linear != assemble_dictionary(DictionaryKind.DCT2_CUBIC, 16)
+        assert linear != assemble_dictionary(DictionaryKind.DCT2_LINEAR, 8)
+        assert linear != Dictionary1D(DictionaryKind.DCT2_LINEAR, 12, linear.matrix)
+        assert len({linear, assemble_dictionary(DictionaryKind.DCT2_LINEAR, 16)}) == 1
+        assert sample_prototype(4, 2) == sample_prototype(4, 2)
+        assert hash(sample_prototype(4, 2)) == hash(sample_prototype(4, 2))
+        assert sample_prototype(4, 2) != sample_prototype(4, 3)
+        assert sample_prototype(4, 2) != sample_prototype(2, 2)
+        assert len({sample_prototype(m, d) for m in (2, 4) for d in DILATIONS for _ in range(2)}) == 6
 
 
     def test_gram_is_matrix_gram(self, dict1_cubic16):
@@ -341,12 +385,16 @@ class TestDictionary2D:
 
 class TestDumpCsv:
     def test_round_trip_against_golden_file(self):
+        # the golden file is the atom table of the linear dictionary at
+        # L = 8, one row per atom, its values in shortest repr
+        d = assemble_dictionary(DictionaryKind.DCT2_LINEAR, 8)
         stream = io.StringIO()
-        dump_csv(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 8), stream)
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["family", "sub_dict", "label", "support_start", "support_len"] + [f"v{k}" for k in range(8)])
+        for family, sub_dict, label, where, column in atom_table(d):
+            if family == "spline":
+                assert np.flatnonzero(column).tolist() == list(range(8))[where]
+            writer.writerow(
+                [family, sub_dict, label, where.start, where.stop - where.start] + [repr(float(v)) for v in column]
+            )
         assert stream.getvalue() == GOLDEN.read_text()
-
-    def test_column_header(self, dict1_linear16):
-        stream = io.StringIO()
-        dump_csv(dict1_linear16, stream)
-        header = stream.getvalue().splitlines()[0]
-        assert header.startswith("family,sub_dict,label,support_start,support_len,v0,")

@@ -3,6 +3,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,6 +214,20 @@ class TestMaskedRowsInAGroup:
         assert state.masked
         assert state.selected == [a for a, _ in block.entries]
         assert state.coefficients.tobytes() == np.array([c for _, c in block.entries]).tobytes()
+
+
+class TestGroups:
+    @pytest.mark.parametrize("count, sizes", [(16, {16}), (1024, {15, 16})])
+    def test_groups_are_consecutive_and_near_equal(self, dict2_cubic16, count, sizes):
+        # a 64 x 64 tile at L = 16 is one group, not 15 blocks and then 1;
+        # a 512 x 512 image is 66 groups of 15 or 16 (8,464 candidates each)
+        with mock.patch.object(sparseimg.pursuit, "_pursue_group", wraps=sparseimg.pursuit._pursue_group) as spy:
+            counts, _, _, _ = pursue(np.zeros((count, 16, 16)), dict2_cubic16, StoppingRule("target_sse", 0.0))
+        groups = [call.args[0].ids.tolist() for call in spy.call_args_list]
+        assert len(groups) == round(count * 8464 / 2**17)
+        assert {len(g) for g in groups} == sizes
+        assert sum(groups, []) == list(range(count))
+        assert counts.tolist() == [0] * count
 
 
 class TestOrthogonalizeAndUpdate:

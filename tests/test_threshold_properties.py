@@ -12,14 +12,16 @@ kept count and the same PSNR bits, or raise the same exception, on:
 - targets of 1e-6 dB, 30-60 dB, 250-330 dB (the rounding floor) and ones
   that no kept count reaches, or targets near the count that decides them;
 - block-DCT coefficients that are not the forward transform of the image:
-  with nan in 1-3 places, which sort last; those of the image plus
-  Gaussian noise of 0.25-64 grey levels, so that even every coefficient
-  kept leaves a residual; values drawn from a few, +-0.0 among them; and
-  magnitudes spread over 18 decades, with the image their exact inverse, so
-  that the keep-all residual is 0 and only the rounding allowance keeps the
-  probes next to the floor exact. Half of these magnitudes are scaled by
-  1e-150, where the squares underflow and the exact probe's PSNR overflows
-  to inf at any residual below about 1e-152 per pixel.
+  with 1-3 of them set to zero; those of the image plus Gaussian noise of
+  0.25-64 grey levels, so that even every coefficient kept leaves a
+  residual; values drawn from a few, +-0.0 among them; and magnitudes
+  spread over 18 decades, with the image their exact inverse, so that the
+  keep-all residual is 0 and only the rounding allowance keeps the probes
+  next to the floor exact. Half of these magnitudes are scaled by 1e-150,
+  where the squares underflow.
+
+Values or images holding a nan or an inf are refused before any probe;
+``test_baselines.py`` tests that refusal.
 """
 
 import math
@@ -79,7 +81,7 @@ def cases(draw):
         return dct2_block_forward(img, size), img
     if source == "holes":
         coeffs = dct2_block_forward(img, size)
-        coeffs.values[np.unravel_index(rng.choice(img.size, draw(st.integers(1, 3))), img.shape)] = math.nan
+        coeffs.values[np.unravel_index(rng.choice(img.size, draw(st.integers(1, 3))), img.shape)] = 0.0
         return coeffs, img
     if source == "other":
         noise = draw(st.sampled_from([0.25, 1.0, 4.0, 64.0])) * rng.standard_normal(img.shape)
