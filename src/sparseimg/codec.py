@@ -157,11 +157,16 @@ def clamp_to_u8(image: np.ndarray) -> np.ndarray:
 def psnr(original, approx) -> float:
     """Peak signal-to-noise ratio in dB against a peak of 255: finite for
     every positive finite MSE, inf for an MSE of 0, -inf for inf, nan for nan."""
+    return _mse_to_psnr(_mse(original, approx))
+
+
+def _mse(original, approx) -> float:
+    """Mean squared difference of two images of the same shape."""
     a = original.as_float() if isinstance(original, ImageGray8) else np.asarray(original, float)
     b = approx.as_float() if isinstance(approx, ImageGray8) else np.asarray(approx, float)
     if a.shape != b.shape:
         raise ValueError(f"image dimensions differ: {a.shape} vs {b.shape}")
-    return _mse_to_psnr(float(np.mean((a - b) ** 2)))
+    return float(np.mean((a - b) ** 2))
 
 
 def _mse_to_psnr(mse: float) -> float:

@@ -151,20 +151,18 @@ def build_spline_subdict(proto: Prototype, L: int) -> np.ndarray:
     return _readonly(atoms.T)
 
 
-def build_cosine_dict(L: int, M: int) -> np.ndarray:
-    """Build the redundancy-2 cosine dictionary of ``M = 2L`` dense atoms.
+def build_cosine_dict(L: int) -> np.ndarray:
+    """Build the redundancy-2 cosine dictionary of ``2L`` dense atoms.
 
     Atom ``i`` (0-based) has entries ``cos(pi * (2j - 1) * i / (4L))`` for
     ``j = 1..L``, rescaled to unit Euclidean norm; atom 0 is the constant
     vector. The odd-frequency half coincides with the orthonormal DCT-II
-    basis. Returns the atoms as the columns of a read-only ``L x M`` array.
+    basis. Returns the atoms as the columns of a read-only ``L x 2L`` array.
     """
     if L < 1:
         raise ValueError(f"block length must be positive, got {L}")
-    if M != 2 * L:
-        raise ValueError(f"cosine dictionary has redundancy 2: expected M = {2 * L}, got {M}")
     j = np.arange(1, L + 1, dtype=np.float64)
-    atoms = np.empty((M, L), dtype=np.float64)
+    atoms = np.empty((2 * L, L), dtype=np.float64)
     # one row at a time: a norm over a whole axis rounds some atoms differently
     for idx, row in enumerate(atoms):
         row[:] = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))
@@ -214,7 +212,7 @@ def assemble_dictionary(kind: DictionaryKind, L: int) -> Dictionary1D:
     # family is rejected with the support it would need.
     splines = [build_spline_subdict(sample_prototype(m, d), L) for d in reversed(DILATIONS)]
     # row-major, as the products over the matrix are rounded for that layout
-    matrix = np.ascontiguousarray(np.hstack([build_cosine_dict(L, 2 * L), *reversed(splines)]))
+    matrix = np.ascontiguousarray(np.hstack([build_cosine_dict(L), *reversed(splines)]))
     return Dictionary1D(kind=kind, block_len=L, matrix=_readonly(matrix))
 
 

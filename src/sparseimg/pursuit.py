@@ -60,14 +60,15 @@ DEP_TOL = 1e-14
 # tie even when they are not equal in exact arithmetic.
 TIE_TOL = 1e-12
 
-# About how many correlation entries a group of signals holds. A stack is
-# split into round(count * len(dictionary.candidates) / GROUP_ENTRIES) groups
-# (at least one) whose sizes differ by at most one: a 512 x 512 image is 50
-# groups of 81-82 blocks at L = 8 (1,600 candidates), 50 of 20-21 at L = 16
-# linear (6,400) and 66 of 15-16 at L = 16 cubic (8,464); a 64 x 64 tile at
-# L = 16 is one group of 16 blocks. Each correlation stack of a group takes
-# about 1 MB, and less than 1.5 MB up to L = 32.
-GROUP_ENTRIES = 1 << 17
+# The most correlation entries a group of signals holds. A group takes at
+# most GROUP_ENTRIES // len(dictionary.candidates) signals (at least one),
+# and a stack is split into as few groups as that allows, whose sizes differ
+# by at most one: a 512 x 512 image is 48 groups of 85-86 blocks at L = 8
+# (1,600 candidates), 49 of 20-21 at L = 16 linear (6,400) and 64 of 16 at
+# L = 16 cubic (8,464); a 64 x 64 tile at L = 16 is one group of 16 blocks.
+# Each correlation stack of a group takes at most 1.1 MB, unless one signal
+# alone has more candidates than GROUP_ENTRIES.
+GROUP_ENTRIES = (1 << 17) + (1 << 13)
 
 STOP_MODES = ("target_sse", "max_atoms", "both")
 
@@ -364,8 +365,9 @@ def pursue(
     the flat indices and coefficients of every signal's atoms one signal
     after another, in selection order, and each signal's residual sum of
     squares; each signal's are what :func:`run_omp` gives it alone. Signals
-    are pursued in consecutive groups of near-equal size, ``round(count *
-    len(dictionary.candidates) / GROUP_ENTRIES)`` groups (at least one).
+    are pursued in as few consecutive groups of near-equal size as hold at
+    most ``GROUP_ENTRIES // len(dictionary.candidates)`` signals each (at
+    least one).
     When ``trace`` is a list, one ``(index, k, address, abs_corr, sse)``
     tuple is appended per accepted atom, ordered by signal and then by ``k``.
 
@@ -389,7 +391,8 @@ def pursue(
     if cap > dim:
         raise ValueError(f"atom_cap {cap} exceeds the signal dimension {dim}")
 
-    groups = max(1, min(count, round(count * len(dictionary.candidates) / GROUP_ENTRIES)))
+    group = max(1, GROUP_ENTRIES // len(dictionary.candidates))
+    groups = max(1, math.ceil(count / group))
     results = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0))]
     steps: list | None = [] if trace is not None else None
     for ids in np.array_split(np.arange(count), groups):
@@ -457,26 +460,17 @@ def _finish(rows: _Rows, done: np.ndarray, results: list) -> None:
         rows.live[which] = False
 
 
-def run_omp(
-    signal: np.ndarray,
-    dictionary,
-    rule: StoppingRule,
-    trace: list | None = None,
-) -> tuple[SparseBlock, float]:
+def run_omp(signal: np.ndarray, dictionary, rule: StoppingRule) -> tuple[SparseBlock, float]:
     """Greedy pursuit of ``signal`` until the stopping rule fires.
 
     Returns the sparse expansion and the Euclidean norm of the final
-    residual. When ``trace`` is a list, one ``(k, address, abs_corr, sse)``
-    tuple is appended per accepted atom.
+    residual. :func:`pursue` of ``signal[None]`` traces the pursuit.
 
     Raises :class:`PursuitExhaustedError` only if every atom gets masked
     while the threshold is still unmet and the cap unreached. A selection
     maximum of exactly zero stops the pursuit instead, since no further
     progress is possible. A nan or an inf in the signal raises ValueError.
     """
-    rows: list | None = [] if trace is not None else None
-    _, flats, coeffs, sse = pursue(np.asarray(signal)[None], dictionary, rule, trace=rows)
-    if trace is not None:
-        trace.extend(row[1:] for row in rows)
+    _, flats, coeffs, sse = pursue(np.asarray(signal)[None], dictionary, rule)
     entries = [(dictionary.address_of(f), c) for f, c in zip(flats.tolist(), coeffs.tolist())]
     return SparseBlock(entries), math.sqrt(sse[0])

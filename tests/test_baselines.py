@@ -126,15 +126,16 @@ class TestThresholdToPsnr:
             inverse_transform(coeffs)
 
     @pytest.mark.parametrize(
-        "transform, target, calls", [("cdf97", 35.0, 11), ("cdf97", 400.0, 11), ("dct", 35.0, 2), ("dct", 400.0, 4)]
+        "transform, target, calls", [("cdf97", 35.0, 10), ("cdf97", 400.0, 11), ("dct", 35.0, 2), ("dct", 400.0, 3)]
     )
     def test_inverse_transforms_per_search(self, transform, target, calls):
-        # CDF 9/7 runs every probe exactly: the binary search over 1,024
-        # counts probes ten of them, and the result's PSNR is computed once
-        # more, also when it is the all-coefficients one. The block DCT runs
-        # one inverse for the keep-all residual and one for the result;
-        # Parseval's identity settles every probe at 35 dB, and all but two
-        # next to the rounding floor
+        # Each count is probed at most once. CDF 9/7 runs every probe
+        # exactly: the binary search over 1,024 counts probes ten of them,
+        # the result among them, and an unreachable target's result, all
+        # 1,024 kept, is an eleventh. The block DCT probes keep-all for the
+        # Parseval rule and then the result; Parseval's identity settles every
+        # other probe at 35 dB, and all but two next to the rounding floor,
+        # where the result is keep-all again
         img = synthetic_image(32, 32).as_float()
         coeffs = dct2_block_forward(img, 16) if transform == "dct" else cdf97_forward(img, levels=3)
         with mock.patch.object(baselines, "inverse_transform", wraps=inverse_transform) as spy:
@@ -147,8 +148,8 @@ class TestThresholdToPsnr:
 
     @pytest.mark.parametrize("name", _corpus.corpus.NAMES)
     def test_a_dct_search_on_a_corpus_image_makes_few_inverse_transforms(self, name):
-        # 512x512 at 40 dB: one inverse for the keep-all residual, one for the
-        # result, and none or one for a probe that Parseval leaves open
+        # 512x512 at 40 dB: the keep-all probe, the result's, and none or
+        # one that Parseval leaves open
         data = ImageGray8.from_array(_corpus.corpus.make_image(name, 1)).as_float()
         for L in (16, 8):
             coeffs = dct2_block_forward(data, L)
@@ -240,6 +241,24 @@ class TestThresholdToPsnr:
         img = dct2_block_inverse(coeffs)
         assert psnr(img, np.zeros_like(img)) == math.inf
         assert threshold_to_psnr(coeffs, img, target) == (0, math.inf)
+
+    def test_the_rounding_allowance_keeps_a_probe_at_the_floor_exact(self):
+        # magnitudes over 15 decades, with the image their exact inverse: the
+        # keep-all residual is 0, and only the 2**-30 allowance stops the
+        # Parseval rule from settling 15 kept as a miss. The generated cases
+        # of test_threshold_properties.py reach such a case only after
+        # test_cli_properties.py has run, as Hypothesis mixes constants from
+        # the loaded modules into what it draws
+        values = np.array(
+            [
+                [1.63225965e-06, -1.28335419e02, -3.93435033e-13, -1.19039213e02],
+                [4.10172119e-10, -4.16750454e-08, 7.91856870e-01, -2.32051540e-08],
+                [-7.81063563e-06, 3.13374777e-15, -3.65793477e-02, -4.85936630e-06],
+                [-8.61332624e-10, -1.55495083e-01, -2.86752311e-10, 1.45533177e-07],
+            ]
+        )
+        coeffs = TransformCoeffs(kind=baselines.DCT_KIND, values=values, block_size=4)
+        assert threshold_to_psnr(coeffs, dct2_block_inverse(coeffs), 400.0) == (15, math.inf)
 
     def test_keep_all_is_effectively_lossless(self):
         # invertibility makes any realistic target reachable; the keep-all

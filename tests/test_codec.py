@@ -162,7 +162,7 @@ class TestEncode:
 
     def test_peak_memory_is_bounded_by_the_group_budget(self, dict2_cubic16):
         # Noise over texture takes up to ~90 atoms per block. The encoded
-        # columns hold about 0.3 MB (20,079 atoms). The 256 blocks make 17 groups of 15-16
+        # columns hold about 0.3 MB (20,079 atoms). The 256 blocks make 16 groups of 16
         # blocks, each with about 0.35 MB: its rows of the correlation stacks
         # (correlations, magnitudes, target correlations; ~70 KB each) and a
         # factor of up to 128 x 130 doubles (133 KB), briefly twice when it

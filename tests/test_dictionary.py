@@ -185,31 +185,27 @@ class TestBuildSplineSubdict:
 
 class TestBuildCosineDict:
     def test_first_atom_constant(self):
-        atoms = build_cosine_dict(16, 32)
+        atoms = build_cosine_dict(16)
         assert atoms.shape == (16, 32)
         np.testing.assert_array_equal(atoms[:, 0], np.full(16, 0.25))
 
     def test_all_unit_norm(self):
-        for atom in build_cosine_dict(16, 32).T:
+        for atom in build_cosine_dict(16).T:
             assert abs(np.linalg.norm(atom) - 1.0) <= 1e-12
 
     def test_odd_indexed_atoms_are_orthonormal(self):
         # 1-based odd atoms coincide with the DCT-II rows: brute-force Gram
-        sub = build_cosine_dict(16, 32)[:, 0::2]
+        sub = build_cosine_dict(16)[:, 0::2]
         np.testing.assert_allclose(sub.T @ sub, np.eye(16), atol=1e-12)
 
     def test_atoms_are_dense(self):
         # cos(pi/2) rounds to 6e-17, so an atom with a node at a sample is
         # still nonzero there
-        assert np.all(build_cosine_dict(12, 24) != 0.0)
+        assert np.all(build_cosine_dict(12) != 0.0)
 
     def test_block_length_must_be_positive(self):
         with pytest.raises(ValueError, match="block length must be positive, got 0"):
-            build_cosine_dict(0, 0)
-
-    def test_redundancy_must_be_two(self):
-        with pytest.raises(ValueError, match="redundancy 2"):
-            build_cosine_dict(16, 64)
+            build_cosine_dict(0)
 
 
 class TestAssembleDictionary:
@@ -224,7 +220,7 @@ class TestAssembleDictionary:
         # each block of columns is its builder's output, in order
         for d in (dict1_linear16, dict1_cubic16):
             at = 32
-            np.testing.assert_array_equal(d.matrix[:, :at], build_cosine_dict(16, 32))
+            np.testing.assert_array_equal(d.matrix[:, :at], build_cosine_dict(16))
             for dilation in DILATIONS:
                 sub = build_spline_subdict(sample_prototype(d.kind.spline_order, dilation), 16)
                 np.testing.assert_array_equal(d.matrix[:, at : at + sub.shape[1]], sub)
@@ -255,7 +251,7 @@ class TestAssembleDictionary:
         for array in (
             dict1_linear16.matrix,
             dict1_linear16.gram,
-            build_cosine_dict(8, 16),
+            build_cosine_dict(8),
             build_spline_subdict(sample_prototype(4, 2), 8),
         ):
             with pytest.raises(ValueError):

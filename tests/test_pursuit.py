@@ -217,17 +217,31 @@ class TestMaskedRowsInAGroup:
 
 
 class TestGroups:
-    @pytest.mark.parametrize("count, sizes", [(16, {16}), (1024, {15, 16})])
+    @staticmethod
+    def groups(dictionary, count):
+        """The ids of each group ``pursue`` makes of ``count`` zero signals, in call order."""
+        with mock.patch.object(sparseimg.pursuit, "_pursue_group", wraps=sparseimg.pursuit._pursue_group) as spy:
+            counts, _, _, _ = pursue(np.zeros((count, 16, 16)), dictionary, StoppingRule("target_sse", 0.0))
+        assert counts.tolist() == [0] * count
+        return [call.args[0].ids.tolist() for call in spy.call_args_list]
+
+    @pytest.mark.parametrize("count, sizes", [(16, {16}), (1024, {16})])
     def test_groups_are_consecutive_and_near_equal(self, dict2_cubic16, count, sizes):
         # a 64 x 64 tile at L = 16 is one group, not 15 blocks and then 1;
-        # a 512 x 512 image is 66 groups of 15 or 16 (8,464 candidates each)
-        with mock.patch.object(sparseimg.pursuit, "_pursue_group", wraps=sparseimg.pursuit._pursue_group) as spy:
-            counts, _, _, _ = pursue(np.zeros((count, 16, 16)), dict2_cubic16, StoppingRule("target_sse", 0.0))
-        groups = [call.args[0].ids.tolist() for call in spy.call_args_list]
-        assert len(groups) == round(count * 8464 / 2**17)
+        # a 512 x 512 image is 64 groups of 16 (8,464 candidates each)
+        groups = self.groups(dict2_cubic16, count)
+        assert len(groups) == -(-count // 16)
         assert {len(g) for g in groups} == sizes
         assert sum(groups, []) == list(range(count))
-        assert counts.tolist() == [0] * count
+
+    def test_no_group_exceeds_its_budget(self, dict2_cubic16):
+        # 23 blocks once ran as one group of 1.5 times the budget, which
+        # raised the memory peak with it
+        cap = sparseimg.pursuit.GROUP_ENTRIES // len(dict2_cubic16.candidates)
+        for count in range(1, 41):
+            sizes = [len(g) for g in self.groups(dict2_cubic16, count)]
+            assert len(sizes) == -(-count // cap), count
+            assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1, (count, sizes)
 
 
 class TestOrthogonalizeAndUpdate:
@@ -485,14 +499,16 @@ class TestRunOmp:
         rng = np.random.default_rng(9)
         f = rng.normal(size=(16, 16))
         trace = []
-        block, _ = run_omp(f, dict2_linear16, StoppingRule("max_atoms", atom_cap=5), trace=trace)
-        assert len(trace) == len(block) == 5
-        ks = [row[0] for row in trace]
+        _, flats, _, sse = pursue(f[None], dict2_linear16, StoppingRule("max_atoms", atom_cap=5), trace=trace)
+        assert len(trace) == len(flats) == 5
+        assert [row[0] for row in trace] == [0] * 5
+        ks = [row[1] for row in trace]
         assert ks == [1, 2, 3, 4, 5]
-        addresses = [row[1] for row in trace]
-        assert addresses == [addr for addr, _ in block.entries]
-        sses = [row[3] for row in trace]
+        addresses = [row[2] for row in trace]
+        assert addresses == [dict2_linear16.address_of(flat) for flat in flats.tolist()]
+        sses = [row[4] for row in trace]
         assert all(b <= a for a, b in zip(sses, sses[1:]))
+        assert sses[-1] == sse[0]
 
     def test_residual_monotone_and_orthogonal(self):
         rng = np.random.default_rng(17)
@@ -502,10 +518,10 @@ class TestRunOmp:
             f = rng.normal(size=dim)
             trace = []
             cap = int(rng.integers(1, min(dim, 10) + 1))
-            block, residual_norm = run_omp(
-                f, md, StoppingRule("max_atoms", atom_cap=cap), trace=trace
-            )
-            sses = [f @ f] + [row[3] for row in trace]
+            rule = StoppingRule("max_atoms", atom_cap=cap)
+            pursue(f[None], md, rule, trace=trace)
+            block, residual_norm = run_omp(f, md, rule)
+            sses = [f @ f] + [row[4] for row in trace]
             assert all(b <= a + 1e-12 for a, b in zip(sses, sses[1:]))
             # selected atoms are orthogonal to the final residual
             residual = f - synthesis(md, block)
