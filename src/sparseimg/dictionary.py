@@ -58,10 +58,13 @@ class DictionaryKind(str, enum.Enum):
 
     @classmethod
     def from_wire_code(cls, code: int) -> "DictionaryKind":
-        for kind in cls:
-            if kind.wire_code == code:
-                return kind
-        raise ValueError(f"unknown dictionary code {code}")
+        kind = _KIND_OF_WIRE_CODE.get(code)
+        if kind is None:
+            raise ValueError(f"unknown dictionary code {code}")
+        return kind
+
+
+_KIND_OF_WIRE_CODE = {kind.wire_code: kind for kind in DictionaryKind}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -299,7 +302,8 @@ class Dictionary2D:
         """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``, one block per
         leading index: ``U_I diag(c) U_J^T``."""
         I, J = np.divmod(flats, self.n_base)
-        left = self._rows.take(I, axis=0) * coeffs[..., None]
+        left = self._rows.take(I, axis=0)
+        left *= coeffs[..., None]
         return np.matmul(left.swapaxes(-1, -2), self._rows.take(J, axis=0))
 
 

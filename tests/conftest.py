@@ -1,10 +1,49 @@
+import importlib
 import os
+import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparseimg
 from sparseimg import Dictionary2D, DictionaryKind, ImageGray8, assemble_dictionary
+
+# Hypothesis mixes constants from the local modules loaded so far into what
+# it draws. Every run loads every module of the package here, before any
+# test, so that a test file run alone draws the examples the whole suite
+# draws.
+for _module in pkgutil.iter_modules(sparseimg.__path__):
+    importlib.import_module(f"sparseimg.{_module.name}")
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def local_modules() -> set[str]:
+    """Modules loaded from this repository outside ``tests/``, which is what
+    Hypothesis counts as local here (it skips test directories itself)."""
+    names = set()
+    for name, module in list(sys.modules.items()):
+        path = getattr(module, "__file__", None)
+        if path is None:
+            continue
+        parents = Path(os.path.realpath(path)).parents
+        if REPO in parents and REPO / "tests" not in parents and "site-packages" not in Path(path).parts:
+            names.add(name)
+    return names
+
+
+LOADED_BY_CONFTEST = local_modules()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_local_module_loads_after_the_conftest():
+    """Fails the run if a test loaded a local module the conftest did not:
+    the examples drawn after it would differ from a run that never loads it."""
+    yield
+    late = sorted(local_modules() - LOADED_BY_CONFTEST)
+    assert not late, f"loaded after tests/conftest.py, which should import them: {late}"
 
 # Directory scanned for the classic 512x512 grayscale test images
 # (boat/bridge/lena/mandrill/peppers as binary PGM). They are not

@@ -98,15 +98,28 @@ MUTANTS = [
      "tests/test_codec.py"),
     (CODEC,
      "    start = 0\n"
-     "    for k, a, b in zip(ks.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(counts)]):\n"
+     "    for a, b in zip(bounds, bounds[1:]):\n"
+     "        k = int(ranked[a])\n"
      "        stop = start + (b - a) * k\n"
-     "        tiles[order[a:b]] = dict2d.synthesize(flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k))\n"
+     "        blocks[rows[a:b], :, cols[a:b]] = dict2d.synthesize(\n"
+     "            flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k)\n"
+     "        )\n"
      "        start = stop\n",
      "    k = int(counts.max())\n"
      "    at = np.minimum((np.cumsum(counts) - counts)[:, None] + np.arange(k), len(enc.flats) - 1)\n"
      "    real = np.arange(k) < counts[:, None]\n"
-     "    tiles = dict2d.synthesize(np.where(real, enc.flats[at], 0), np.where(real, enc.coeffs[at], 0.0))\n",
+     "    tiles = dict2d.synthesize(np.where(real, enc.flats[at], 0), np.where(real, enc.coeffs[at], 0.0))\n"
+     "    out[...] = from_blocks(tiles.reshape(n_rows, n_cols, L, L))\n",
      "decode synthesizes every block at the largest atom count, padded with zero coefficients",
+     "tests/test_codec.py"),
+    (CODEC, "    rows, cols = divmod(order, n_cols)\n", "    rows, cols = divmod(np.arange(len(counts)), n_cols)\n",
+     "decode writes each group to the first blocks in block order, not to its own blocks",
+     "tests/test_codec.py"),
+    (CODEC, "data[pos] | data[pos + 1] << 8", "data[pos] << 8 | data[pos + 1]",
+     "deserialize reads each block's count big-endian",
+     "tests/test_codec.py"),
+    (CODEC, "            count = (size - pos) // entry\n", "            count = (size - pos) // entry - 1\n",
+     "deserialize slices a truncated block's run one entry short",
      "tests/test_codec.py"),
     (CODEC, "        t = int(bad[0])\n        at = _HEADER.size", "        t = int(bad[-1])\n        at = _HEADER.size",
      "deserialize reports the last bad entry instead of the first",

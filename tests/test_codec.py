@@ -38,6 +38,7 @@ from sparseimg.codec import (
 from sparseimg.codec import SparsityReport
 
 import _corpus
+import _oracles
 from conftest import synthetic_image
 
 
@@ -221,14 +222,32 @@ class TestDecode:
 
     @pytest.mark.parametrize("L", [16, 8])
     def test_is_per_block_reconstruction_byte_for_byte(self, L):
-        enc, _ = _corpus.encoded("mixed", DictionaryKind.DCT2_LINEAR, L)
-        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, L)
-        want = np.zeros((enc.height, enc.width))
-        grid = to_blocks(want, L)
-        for n, block in enumerate(enc.blocks):
-            flats = np.array([d.flat_index(address) for address, _ in block.entries], dtype=np.intp)
-            grid[divmod(n, grid.shape[1])] = d.synthesize(flats, np.array([c for _, c in block.entries]))
-        assert decode(enc, d).tobytes() == want.tobytes()
+        # every corpus crop, with each dictionary the corpus encodes at L:
+        # one-atom blocks (edges, gradients), and 2 to 14 distinct atom counts
+        for name in _corpus.corpus.NAMES:
+            for kind in [kind for kind, side in _corpus.CONFIGS if side == L]:
+                enc, _ = _corpus.encoded(name, kind, L)
+                d = _corpus.dictionary(kind, L)
+                want = np.zeros((enc.height, enc.width))
+                grid = to_blocks(want, L)
+                for n, block in enumerate(enc.blocks):
+                    flats = np.array([d.flat_index(address) for address, _ in block.entries], dtype=np.intp)
+                    grid[divmod(n, grid.shape[1])] = d.synthesize(flats, np.array([c for _, c in block.entries]))
+                assert decode(enc, d).tobytes() == want.tobytes(), f"{name}, {kind.value}"
+
+    def test_decode_of_a_whole_image_peaks_below_8_mb(self):
+        # The output is 2 MiB. A decode that gathered the 1D rows of every atom
+        # at once would add 2 x 7.2 MiB for this container's 58,708 atoms.
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, 16)
+        enc, _ = encode(ImageGray8.from_array(_corpus.corpus.make_image("mixed", 1)), d, 40.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            decode(enc, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_synthesizes_each_block_at_its_own_atom_count(self, dict2_linear16, small_image):
         # BLAS may sum a zero-padded block in another order than the block
@@ -537,6 +556,21 @@ class TestContainer:
         with pytest.raises(ContainerError, match=re.escape(message)) as excinfo:
             deserialize(data[: len(data) - cut] if cut else data)
         assert excinfo.value.offset == offset
+
+    def test_every_prefix_of_a_tile_container_reads_as_the_per_entry_reader_reads_it(self):
+        # a 64x64 texture tile at L = 16: 16 blocks of 9 to 14 atoms, so the
+        # cuts fall in the header, in counts and inside entries of every block
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, 16)
+        data = serialize(encode(ImageGray8.from_array(_corpus.corpus.make_image("texture", 1)[:64, :64]), d, 40.0)[0])
+
+        def outcome(read, data):
+            try:
+                return read(data)
+            except ValueError as exc:
+                return type(exc), str(exc), exc.offset
+
+        for cut in range(len(data) + 1):
+            assert outcome(deserialize, data[:cut]) == outcome(_oracles.deserialize, data[:cut]), cut
 
     def test_n_base_above_the_limit_is_value_error(self):
         # flat address 69999 * 70000 + 69999 does not fit the u32 entry field
