@@ -45,7 +45,7 @@ from .pursuit import PursuitExhaustedError, SparseBlock, StoppingRule, pursue
 MAGIC = b"SIC1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIHBId")
-_COUNT = struct.Struct("<H")
+_COUNT = np.dtype("<u2")  # each block's entry count
 _ENTRY = np.dtype([("flat", "<u4"), ("coeff", "<f8")])  # packed, 12 bytes
 
 # Each block stores its entry count as a u16, and a block of side L keeps up
@@ -377,7 +377,7 @@ def encode(
     """Approximate every block of ``img`` to the per-block SSE threshold.
 
     Returns the encoded image and its sparsity report. Each block gets the
-    expansion :func:`~sparseimg.pursuit.run_omp` gives it alone. ``trace``
+    expansion ``pursue(block[None], ...)`` gives it alone. ``trace``
     collects :func:`~sparseimg.pursuit.pursue`'s rows, ``(block_index, k,
     (i, j), abs_corr, sse)``, ordered by block and then by ``k``. A block
     that cannot meet the threshold raises
@@ -386,7 +386,7 @@ def encode(
     L = dict2d.base.block_len
     grid = to_blocks(img.as_float(), L)
     threshold = psnr_to_block_sse(target_db, L)
-    rule = StoppingRule(mode="both", sse_threshold=threshold, atom_cap=L * L)
+    rule = StoppingRule("target_sse", threshold)  # pursue caps each block at its L * L atoms
     try:
         counts, flats, coeffs, sse = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
     except PursuitExhaustedError as exc:
@@ -427,7 +427,7 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
             f"container expects {enc.kind.value} with {enc.n_base} base atoms at block "
             f"{enc.block_size}, dictionary is {base.kind.value} with {dict2d.n_base} at block {base.block_len}"
         )
-    L, (n_rows, n_cols) = enc.block_size, enc.grid
+    L, n_cols = enc.block_size, enc.grid[1]
     counts = enc.counts
     order = counts.argsort(kind="stable")  # the blocks by atom count
     atoms = counts.repeat(counts).argsort(kind="stable")  # their atoms, in that order
@@ -437,27 +437,18 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
     bounds = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist(), len(counts)] if len(counts) else []
     rows, cols = divmod(order, n_cols)
     out = np.empty((enc.height, enc.width))  # every block is in one group, so every pixel is written
-    blocks = out.reshape(n_rows, L, n_cols, L)  # block (r, c) is blocks[r, :, c]
+    blocks = to_blocks(out, L)
     # One synthesis per distinct atom count, each block at its own: BLAS does
     # not promise that a sum padded with zero terms rounds as the sum does.
     start = 0
     for a, b in zip(bounds, bounds[1:]):
         k = int(ranked[a])
         stop = start + (b - a) * k
-        blocks[rows[a:b], :, cols[a:b]] = dict2d.synthesize(
+        blocks[rows[a:b], cols[a:b]] = dict2d.synthesize(
             flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k)
         )
         start = stop
     return out
-
-
-def _count_bytes(counts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Which bytes of a block stream hold the u16 counts of blocks of
-    ``counts`` entries each, which end at ``ends`` in the columns."""
-    at = _COUNT.size * np.arange(len(counts)) + _ENTRY.itemsize * (ends - counts)
-    mask = np.zeros(_COUNT.size * len(counts) + _ENTRY.itemsize * int(counts.sum()), dtype=bool)
-    mask[at] = mask[at + 1] = True
-    return mask
 
 
 def serialize(enc: EncodedImage) -> bytes:
@@ -482,11 +473,9 @@ def serialize(enc: EncodedImage) -> bytes:
 
     entries = np.empty(len(flats), dtype=_ENTRY)
     entries["flat"], entries["coeff"] = flats, coeffs
-    is_count = _count_bytes(counts, ends)
-    stream = np.empty(len(is_count), dtype=np.uint8)
-    stream[is_count] = counts.astype("<u2").view(np.uint8)
-    stream[~is_count] = entries.view(np.uint8)
-    return header + stream.tobytes()
+    # each block's count goes in front of its first entry
+    at = (_ENTRY.itemsize * (ends - counts)).repeat(_COUNT.itemsize)
+    return header + np.insert(entries.view(np.uint8), at, counts.astype(_COUNT).view(np.uint8)).tobytes()
 
 
 def deserialize(data: bytes) -> EncodedImage:
@@ -545,7 +534,7 @@ def deserialize(data: bytes) -> EncodedImage:
     bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))
     if len(bad):
         t = int(bad[0])
-        at = _HEADER.size + _COUNT.size * (_block_of(np.cumsum(counts), t) + 1) + _ENTRY.itemsize * t
+        at = _HEADER.size + _COUNT.itemsize * (_block_of(np.cumsum(counts), t) + 1) + _ENTRY.itemsize * t
         if flats[t] >= n_base * n_base:
             raise ContainerError(f"atom address {flats[t]} out of range", at)
         raise ContainerError(f"coefficient {float(coeffs[t])} out of range", at + _ENTRY.fields["coeff"][1])

@@ -37,16 +37,15 @@ def record(case: str) -> dict:
     """
     name, kind, L = CASES[case]
     enc, report = encoded(name, kind, L)
-    counts = [len(block) for block in enc.blocks]
-    flats = [i * enc.n_base + j for block in enc.blocks for (i, j), _ in block.entries]
-    addresses = np.array(counts, dtype="<u4").tobytes() + np.array(flats, dtype="<u4").tobytes()
+    addresses = enc.counts.astype("<u4").tobytes() + enc.flats.astype("<u4").tobytes()
+    runs = np.split(enc.coeffs, enc.counts.cumsum()[:-1])  # each block's coefficients
     dct_kept, cdf97_kept = kept(name, L)
     return {
-        "atoms": counts,
+        "atoms": enc.counts.tolist(),
         "address_sha256": hashlib.sha256(addresses).hexdigest(),
         "dct_kept": dct_kept,
         "cdf97_kept": cdf97_kept,
-        "coeff_sumsq": [math.fsum(c * c for _, c in block.entries) for block in enc.blocks],
+        "coeff_sumsq": [math.fsum(c * c for c in run.tolist()) for run in runs],
         "psnr": report.achieved_psnr,
         "container_sha256": hashlib.sha256(serialize(enc)).hexdigest(),
     }

@@ -101,7 +101,7 @@ MUTANTS = [
      "    for a, b in zip(bounds, bounds[1:]):\n"
      "        k = int(ranked[a])\n"
      "        stop = start + (b - a) * k\n"
-     "        blocks[rows[a:b], :, cols[a:b]] = dict2d.synthesize(\n"
+     "        blocks[rows[a:b], cols[a:b]] = dict2d.synthesize(\n"
      "            flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k)\n"
      "        )\n"
      "        start = stop\n",
@@ -109,12 +109,15 @@ MUTANTS = [
      "    at = np.minimum((np.cumsum(counts) - counts)[:, None] + np.arange(k), len(enc.flats) - 1)\n"
      "    real = np.arange(k) < counts[:, None]\n"
      "    tiles = dict2d.synthesize(np.where(real, enc.flats[at], 0), np.where(real, enc.coeffs[at], 0.0))\n"
-     "    out[...] = from_blocks(tiles.reshape(n_rows, n_cols, L, L))\n",
+     "    blocks[divmod(np.arange(len(counts)), n_cols)] = tiles\n",
      "decode synthesizes every block at the largest atom count, padded with zero coefficients",
      "tests/test_codec.py"),
     (CODEC, "    rows, cols = divmod(order, n_cols)\n", "    rows, cols = divmod(np.arange(len(counts)), n_cols)\n",
      "decode writes each group to the first blocks in block order, not to its own blocks",
      "tests/test_codec.py"),
+    (CODEC, "_ENTRY.itemsize * (ends - counts)", "_ENTRY.itemsize * ends",
+     "serialize puts each block's count after its entries, not in front of them",
+     "tests/test_container_properties.py"),
     (CODEC, "data[pos] | data[pos + 1] << 8", "data[pos] << 8 | data[pos + 1]",
      "deserialize reads each block's count big-endian",
      "tests/test_codec.py"),
