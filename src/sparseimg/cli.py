@@ -101,6 +101,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+REPORT_COLUMNS = ("image", "dictionary", "atoms", "cr", "psnr_target", "psnr_achieved")
+
+
+def append_report(path, report: codec.SparsityReport) -> None:
+    """Append ``report`` as one CSV row, creating the file with a header when needed."""
+    path = Path(path)
+    fresh = not path.exists() or path.stat().st_size == 0
+    with open(path, "a", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        if fresh:
+            writer.writerow(REPORT_COLUMNS)
+        writer.writerow((
+            report.image,
+            report.dictionary,
+            str(report.total_atoms),
+            repr(round(report.compression_ratio, 6)),
+            repr(float(report.target_psnr)),
+            repr(round(report.achieved_psnr, 6)),
+        ))
+
+
+def read_report(path) -> list[dict[str, str]]:
+    """Rows of a report CSV; each must have every column of REPORT_COLUMNS."""
+    with open(path, newline="") as f:
+        try:
+            rows = list(csv.DictReader(f))
+        except csv.Error as exc:
+            raise ValueError(f"not a sparsity report CSV: {exc}") from exc
+    for row in rows:
+        if any(row.get(column) is None for column in REPORT_COLUMNS):
+            raise ValueError("not a sparsity report CSV")
+    return rows
+
+
 def _encode_one_omp(path: Path, img: codec.ImageGray8, args, dict2d: Dictionary2D):
     trace_rows: list | None = [] if args.trace else None
     enc, report = codec.encode(
@@ -171,7 +205,7 @@ def cmd_encode(args) -> int:
                 report, out_path = _encode_one_baseline(path, img, args)
         if args.report:
             with _file_errors(args.report):
-                codec.append_report(args.report, report)
+                append_report(args.report, report)
         made = f" -> {out_path}" if out_path is not None else ""
         print(
             f"{path}: {args.method} atoms={report.total_atoms} "
@@ -205,13 +239,13 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _merge_reports(paths) -> tuple[list[str], dict[str, dict[str, float]], float]:
-    images: list[str] = []
+def _merge_reports(paths) -> tuple[dict[str, dict[str, float]], float]:
+    """Each image's compression ratio per method, in first-seen order, and the reports' one PSNR target."""
     table: dict[str, dict[str, float]] = {}
     target: float | None = None
     for path in paths:
         with _file_errors(path):
-            for row in codec.read_report(path):
+            for row in read_report(path):
                 row_target = float(row["psnr_target"])
                 if target is None:
                     target = row_target
@@ -220,39 +254,36 @@ def _merge_reports(paths) -> tuple[list[str], dict[str, dict[str, float]], float
                         f"{path}: PSNR target {row_target} differs from {target}; "
                         "reports must share one target"
                     )
-                name = row["image"]
-                if name not in table:
-                    images.append(name)
-                    table[name] = {}
-                table[name][_METHOD_OF_KIND.get(row["dictionary"], row["dictionary"])] = float(row["cr"])
-    return images, table, target if target is not None else 0.0
+                method = _METHOD_OF_KIND.get(row["dictionary"], row["dictionary"])
+                table.setdefault(row["image"], {})[method] = float(row["cr"])
+    return table, target if target is not None else 0.0
 
 
 def cmd_table(args) -> int:
-    images, table, target = _merge_reports(args.reports)
+    table, target = _merge_reports(args.reports)
     methods = [m for m in METHODS if any(m in row for row in table.values())]
-    width = max([len("image")] + [len(name) for name in images])
+    width = max([len("image")] + [len(name) for name in table])
 
     def print_row(first: str, cells: list[str]) -> None:
         print("  ".join([first.ljust(width)] + [cell.rjust(10) for cell in cells]))
 
     print(f"compression ratios at PSNR {target:g} dB")
     print_row("image", methods)
-    for name in images:
+    for name in table:
         print_row(name, [f"{table[name][m]:.2f}" if m in table[name] else "-" for m in methods])
 
     if args.csv:
         with _file_errors(args.csv), open(args.csv, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["image"] + methods)
-            for name in images:
+            for name in table:
                 writer.writerow(
                     [name] + [repr(table[name][m]) if m in table[name] else "" for m in methods]
                 )
 
     if args.reference:
         print("\nmeasured / reference at 40 dB")
-        for name in images:
+        for name in table:
             ref_row = REFERENCE_CR_40DB.get(_REFERENCE_ALIASES.get(name.lower(), name.lower()))
             if ref_row is not None:
                 measured = table[name]

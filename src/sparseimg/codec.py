@@ -26,7 +26,6 @@ compression ratio is the pure sparsity ratio pixels / retained atoms.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import re
@@ -314,44 +313,6 @@ class SparsityReport:
         return self.pixel_count / self.total_atoms
 
 
-REPORT_COLUMNS = ("image", "dictionary", "atoms", "cr", "psnr_target", "psnr_achieved")
-
-
-def report_row(report: SparsityReport) -> list[str]:
-    return [
-        report.image,
-        report.dictionary,
-        str(report.total_atoms),
-        repr(round(report.compression_ratio, 6)),
-        repr(float(report.target_psnr)),
-        repr(round(report.achieved_psnr, 6)),
-    ]
-
-
-def append_report(path, report: SparsityReport) -> None:
-    """Append one CSV row, creating the file with a header when needed."""
-    path = Path(path)
-    fresh = not path.exists() or path.stat().st_size == 0
-    with open(path, "a", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if fresh:
-            writer.writerow(REPORT_COLUMNS)
-        writer.writerow(report_row(report))
-
-
-def read_report(path) -> list[dict[str, str]]:
-    """Rows of a report CSV; each must have every column of REPORT_COLUMNS."""
-    with open(path, newline="") as f:
-        try:
-            rows = list(csv.DictReader(f))
-        except csv.Error as exc:
-            raise ValueError(f"not a sparsity report CSV: {exc}") from exc
-    for row in rows:
-        if any(row.get(column) is None for column in REPORT_COLUMNS):
-            raise ValueError("not a sparsity report CSV")
-    return rows
-
-
 def to_blocks(image: np.ndarray, L: int) -> np.ndarray:
     """View of ``image`` as its ``(rows, cols, L, L)`` grid of blocks."""
     h, w = image.shape
@@ -391,13 +352,12 @@ def encode(
         counts, flats, coeffs, sse = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
     except PursuitExhaustedError as exc:
         raise PursuitExhaustedError(f"block {divmod(exc.index, grid.shape[1])}: {exc}", index=exc.index) from exc
-    norms = np.sqrt(sse)
-    # a block may still miss the threshold when it holds all L * L atoms
-    missed = np.flatnonzero(norms > math.sqrt(threshold))
+    # a block holding all L * L atoms may miss; pursue retires it as met at sse <= threshold
+    missed = np.flatnonzero(sse > threshold)
     if len(missed):
         n = int(missed[0])
         raise PursuitExhaustedError(
-            f"block {divmod(n, grid.shape[1])}: residual SSE {float(norms[n]) ** 2:.6g} above threshold "
+            f"block {divmod(n, grid.shape[1])}: residual SSE {sse[n]:.6g} above threshold "
             f"{threshold:.6g} with {counts[n]} atoms", index=n)
 
     enc = EncodedImage(
@@ -409,7 +369,8 @@ def encode(
         total_atoms=int(counts.sum()),
         pixel_count=img.width * img.height,
         target_psnr=float(target_db),
-        achieved_psnr=_mse_to_psnr(sum(norm**2 for norm in norms.tolist()) / (img.width * img.height)),
+        # summed as squared norms: the SSEs differ from them by an ulp here and there, and so would the PSNR
+        achieved_psnr=_mse_to_psnr(sum(norm**2 for norm in np.sqrt(sse).tolist()) / (img.width * img.height)),
         block_histogram=dict(Counter(counts.tolist())),
     )
     return enc, report

@@ -70,7 +70,7 @@ TIE_TOL = 1e-12
 # alone has more candidates than GROUP_ENTRIES.
 GROUP_ENTRIES = (1 << 17) + (1 << 13)
 
-STOP_MODES = ("target_sse", "max_atoms", "both")
+STOP_MODES = ("target_sse", "both")
 
 FIRST_CAPACITY = 8  # atoms a row holds before its first growth
 
@@ -80,7 +80,8 @@ class PursuitExhaustedError(RuntimeError):
 
     :func:`sparseimg.codec.encode` also raises it for a block that ends its
     pursuit with its SSE above the threshold, holding all ``L * L`` atoms.
-    ``index`` is the position of the signal in the group that exhausted.
+    ``index`` is the position of the signal that exhausted in the stack
+    given to :func:`pursue`.
     """
 
     def __init__(self, message: str, index: int | None = None):
@@ -93,9 +94,9 @@ class StoppingRule:
     """When to stop the pursuit.
 
     ``target_sse`` stops once the residual sum of squares drops to
-    ``sse_threshold``; ``max_atoms`` stops after ``atom_cap`` accepted atoms;
-    ``both`` stops at whichever comes first. The cap can never usefully
-    exceed the signal dimension.
+    ``sse_threshold``; ``both`` also stops after ``atom_cap`` accepted atoms,
+    so at the default threshold of 0.0 it stops at the cap alone. The cap
+    can never usefully exceed the signal dimension.
     """
 
     mode: str = "both"
@@ -109,7 +110,7 @@ class StoppingRule:
             raise ValueError(f"sse_threshold must be nonnegative, got {self.sse_threshold}")
         if self.atom_cap is not None and self.atom_cap < 0:
             raise ValueError(f"atom_cap must be nonnegative, got {self.atom_cap}")
-        if self.mode in ("max_atoms", "both") and self.atom_cap is None:
+        if self.mode == "both" and self.atom_cap is None:
             raise ValueError(f"mode {self.mode!r} requires atom_cap")
 
 
@@ -386,7 +387,6 @@ def pursue(
     finite = np.isfinite(flat_signals).all(axis=1)
     if not finite.all():
         raise ValueError(f"signal {int(np.argmin(finite))} holds a nan or an inf")
-    threshold = 0.0 if rule.mode == "max_atoms" else rule.sse_threshold
     cap = dim if rule.mode == "target_sse" else rule.atom_cap
     if cap > dim:
         raise ValueError(f"atom_cap {cap} exceeds the signal dimension {dim}")
@@ -398,7 +398,7 @@ def pursue(
     for ids in np.array_split(np.arange(count), groups):
         _pursue_group(
             _Rows(ids, flat_signals[ids], _capacity(0, cap)),
-            dictionary, threshold, cap, results, steps,
+            dictionary, rule.sse_threshold, cap, results, steps,
         )
 
     if trace is not None and steps:
@@ -464,12 +464,8 @@ def run_omp(signal: np.ndarray, dictionary, rule: StoppingRule) -> tuple[SparseB
     """Greedy pursuit of ``signal`` until the stopping rule fires.
 
     Returns the sparse expansion and the Euclidean norm of the final
-    residual. :func:`pursue` of ``signal[None]`` traces the pursuit.
-
-    Raises :class:`PursuitExhaustedError` only if every atom gets masked
-    while the threshold is still unmet and the cap unreached. A selection
-    maximum of exactly zero stops the pursuit instead, since no further
-    progress is possible. A nan or an inf in the signal raises ValueError.
+    residual. This is :func:`pursue` of ``signal[None]``; see it for when
+    the pursuit stops or raises, and for a trace.
     """
     _, flats, coeffs, sse = pursue(np.asarray(signal)[None], dictionary, rule)
     entries = [(dictionary.address_of(f), c) for f, c in zip(flats.tolist(), coeffs.tolist())]

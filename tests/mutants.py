@@ -90,6 +90,9 @@ MUTANTS = [
     (CODEC, "    if len(missed):", "    if False:",
      "encode keeps a block that holds all L * L atoms and still misses its threshold",
      "tests/test_cli.py"),
+    (CODEC, "sse > threshold", "sse >= threshold",
+     "encode reports a block whose SSE equals its threshold, which pursue retires as met, as a miss",
+     "tests/test_codec.py"),
     (CODEC, 'not re.fullmatch(rb"-?[0-9]+", word)', 'not re.fullmatch(rb"[-+]?[0-9_]+", word)',
      "read_pgm takes header numbers with a sign or underscores, as int() does",
      "tests/test_codec.py"),

@@ -13,6 +13,7 @@ from sparseimg import (
     DictionaryKind,
     EncodedImage,
     ImageGray8,
+    PursuitExhaustedError,
     StoppingRule,
     assemble_dictionary,
     decode,
@@ -28,14 +29,13 @@ from sparseimg.codec import (
     MAX_N_BASE,
     ContainerError,
     DictionaryMismatchError,
-    append_report,
     clamp_to_u8,
     deserialize,
-    read_report,
     serialize,
     to_blocks,
 )
 from sparseimg.codec import SparsityReport
+from sparseimg.cli import append_report, read_report
 
 import _corpus
 import _oracles
@@ -205,6 +205,28 @@ class TestEncode:
         # per-block iteration counters restart at one
         first = [row for row in trace if row[0] == 0]
         assert [row[1] for row in first] == list(range(1, len(first) + 1))
+
+    @staticmethod
+    def encode_one_full_block(sse):
+        """``encode`` at 40 dB of an 8x8 image whose one block the pursuit
+        returns holding all 64 atoms, with residual SSE ``sse``."""
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, 8)
+        pursued = (np.array([64]), d.candidates[:64], np.ones(64), np.array([sse]))
+        with mock.patch("sparseimg.codec.pursue", return_value=pursued):
+            return encode(ImageGray8.from_array(np.zeros((8, 8), np.uint8)), d, 40.0)
+
+    def test_a_full_block_one_ulp_over_its_budget_misses_it(self):
+        threshold = psnr_to_block_sse(40.0, 8)
+        over = np.nextafter(threshold, np.inf)
+        assert math.sqrt(over) == math.sqrt(threshold)  # a test on the norms would let it pass
+        with pytest.raises(PursuitExhaustedError, match=r"^block \(0, 0\): residual SSE .* with 64 atoms$") as caught:
+            self.encode_one_full_block(over)
+        assert caught.value.index == 0
+
+    def test_a_full_block_at_its_budget_meets_it(self):
+        enc, report = self.encode_one_full_block(psnr_to_block_sse(40.0, 8))
+        assert enc.counts.tolist() == [64]
+        assert report.total_atoms == 64
 
 
 class TestDecode:

@@ -59,11 +59,11 @@ class TestStoppingRule:
 
     def test_cap_required_for_cap_modes(self):
         with pytest.raises(ValueError, match="atom_cap"):
-            StoppingRule(mode="max_atoms")
+            StoppingRule(mode="both")
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="atom_cap must be nonnegative"):
-            StoppingRule(mode="max_atoms", atom_cap=-1)
+            StoppingRule(mode="both", atom_cap=-1)
 
     def test_cap_above_dimension_rejected_at_run(self, dict2_linear16):
         rule = StoppingRule(mode="both", sse_threshold=1.0, atom_cap=300)
@@ -146,7 +146,7 @@ class TestTieWindow:
         md = MatrixDictionary(np.array([a, b] if first == 0 else [b, a]).T)
         f = np.ones(3)
         assert select_atom(PursuitState(f, capacity=1), md) == 0
-        rule = StoppingRule("max_atoms", atom_cap=1)
+        rule = StoppingRule("both", atom_cap=1)
         others = np.random.default_rng(3).normal(size=(4, 3))
         for stack in (f[None], np.vstack([others, f]), np.vstack([f, others, f])):
             counts, flats, _, _ = pursue(stack, md, rule)
@@ -190,7 +190,7 @@ class TestMaskedRowsInAGroup:
     @pytest.mark.parametrize("cap", [7, 9, 17])
     def test_grouped_rows_equal_their_pursuit_alone(self, cap, pairs):
         md, signals = self.masking_case(pairs)
-        rule = StoppingRule("max_atoms", atom_cap=cap)
+        rule = StoppingRule("both", atom_cap=cap)
         counts, flats, coeffs, sse = pursue(signals, md, rule)
         for (addresses, values), s, signal in zip(per_signal(counts, flats, coeffs), sse, signals):
             alone, alone_norm = run_omp(signal, md, rule)
@@ -429,18 +429,18 @@ class TestRunOmp:
         assert block.entries == []
         assert residual_norm == pytest.approx(np.linalg.norm(f))
 
-    def test_max_atoms_mode_stops_at_cap(self, dict2_linear16):
+    def test_both_at_zero_threshold_stops_at_cap(self, dict2_linear16):
         rng = np.random.default_rng(0)
         f = rng.normal(size=(16, 16))
         for cap in (0, 7):
-            block, _ = run_omp(f, dict2_linear16, StoppingRule("max_atoms", atom_cap=cap))
+            block, _ = run_omp(f, dict2_linear16, StoppingRule("both", atom_cap=cap))
             assert len(block) == cap
 
     def test_approximation_equals_projection(self):
         rng = np.random.default_rng(23)
         md = random_dictionary(rng, 10, 25)
         f = rng.normal(size=10)
-        block, _ = run_omp(f, md, StoppingRule("max_atoms", atom_cap=6))
+        block, _ = run_omp(f, md, StoppingRule("both", atom_cap=6))
         addresses = [addr for addr, _ in block.entries]
         A = np.column_stack([md.atom_flat(i) for i in addresses])
         projection = A @ np.linalg.lstsq(A, f, rcond=None)[0]
@@ -499,7 +499,7 @@ class TestRunOmp:
         rng = np.random.default_rng(9)
         f = rng.normal(size=(16, 16))
         trace = []
-        _, flats, _, sse = pursue(f[None], dict2_linear16, StoppingRule("max_atoms", atom_cap=5), trace=trace)
+        _, flats, _, sse = pursue(f[None], dict2_linear16, StoppingRule("both", atom_cap=5), trace=trace)
         assert len(trace) == len(flats) == 5
         assert [row[0] for row in trace] == [0] * 5
         ks = [row[1] for row in trace]
@@ -518,7 +518,7 @@ class TestRunOmp:
             f = rng.normal(size=dim)
             trace = []
             cap = int(rng.integers(1, min(dim, 10) + 1))
-            rule = StoppingRule("max_atoms", atom_cap=cap)
+            rule = StoppingRule("both", atom_cap=cap)
             pursue(f[None], md, rule, trace=trace)
             block, residual_norm = run_omp(f, md, rule)
             sses = [f @ f] + [row[4] for row in trace]
@@ -536,7 +536,7 @@ class TestRunOmp:
             md = random_dictionary(rng, dim, n_atoms)
             f = rng.normal(size=dim)
             cap = int(rng.integers(1, min(dim, n_atoms) + 1))
-            block, _ = run_omp(f, md, StoppingRule("max_atoms", atom_cap=cap))
+            block, _ = run_omp(f, md, StoppingRule("both", atom_cap=cap))
             if not block.entries:
                 continue
             addresses = [addr for addr, _ in block.entries]
@@ -570,7 +570,7 @@ class TestRunOmp:
     def test_reorthogonalization_keeps_gram_tight_at_full_depth(self, dict2_linear16):
         rng = np.random.default_rng(41)
         f = rng.normal(size=(16, 16))
-        rule = StoppingRule("max_atoms", atom_cap=256)
+        rule = StoppingRule("both", atom_cap=256)
         state = PursuitState(f, capacity=256)
         for _ in range(256):
             orthogonalize_and_update(state, dict2_linear16, select_atom(state, dict2_linear16))

@@ -124,11 +124,7 @@ def rules_and_groups(draw, dim):
     mode = draw(st.sampled_from(pursuit.STOP_MODES))
     threshold = draw(st.sampled_from([0.0, 1e-12, 0.5, 4.0, math.inf]))
     cap = draw(st.integers(0, dim))
-    rule = StoppingRule(
-        mode,
-        sse_threshold=0.0 if mode == "max_atoms" else threshold,
-        atom_cap=None if mode == "target_sse" else cap,
-    )
+    rule = StoppingRule(mode, sse_threshold=threshold, atom_cap=None if mode == "target_sse" else cap)
     return rule, draw(st.integers(1, 4))
 
 
@@ -205,12 +201,11 @@ def replay(signal, dictionary, atoms, rule, n_accepted, exact=True):
     (or, with None, until it stops or exhausts); every step tries a new atom."""
     dim = atoms.shape[1]
     cap = dim if rule.atom_cap is None else rule.atom_cap
-    threshold = rule.sse_threshold if rule.mode != "max_atoms" else 0.0
     state = PursuitState(signal, capacity=cap)
     magnitudes = np.abs(atoms)
     for _ in range(len(dictionary.candidates) + 1):
         if n_accepted is None:
-            if state.residual_sse <= threshold or state.k == cap:
+            if state.residual_sse <= rule.sse_threshold or state.k == cap:
                 return state
         elif state.k == n_accepted:
             return state
