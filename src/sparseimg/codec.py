@@ -347,7 +347,7 @@ def encode(
     L = dict2d.base.block_len
     grid = to_blocks(img.as_float(), L)
     threshold = psnr_to_block_sse(target_db, L)
-    rule = StoppingRule("target_sse", threshold)  # pursue caps each block at its L * L atoms
+    rule = StoppingRule(sse_threshold=threshold)  # no atom_cap: each block holds at most L * L atoms
     try:
         counts, flats, coeffs, sse = pursue(grid.reshape(-1, L, L), dict2d, rule, trace=trace)
     except PursuitExhaustedError as exc:

@@ -70,7 +70,7 @@ TIE_TOL = 1e-12
 # alone has more candidates than GROUP_ENTRIES.
 GROUP_ENTRIES = (1 << 17) + (1 << 13)
 
-STOP_MODES = ("target_sse", "both")
+STOP_MODES = ("both",)
 
 FIRST_CAPACITY = 8  # atoms a row holds before its first growth
 
@@ -91,12 +91,9 @@ class PursuitExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """When to stop the pursuit.
-
-    ``target_sse`` stops once the residual sum of squares drops to
-    ``sse_threshold``; ``both`` also stops after ``atom_cap`` accepted atoms,
-    so at the default threshold of 0.0 it stops at the cap alone. The cap
-    can never usefully exceed the signal dimension.
+    """When to stop the pursuit: once the residual sum of squares is at most
+    ``sse_threshold``, or once ``atom_cap`` atoms are held, where ``None``
+    means the signal dimension. ``mode`` accepts only ``"both"``.
     """
 
     mode: str = "both"
@@ -110,8 +107,6 @@ class StoppingRule:
             raise ValueError(f"sse_threshold must be nonnegative, got {self.sse_threshold}")
         if self.atom_cap is not None and self.atom_cap < 0:
             raise ValueError(f"atom_cap must be nonnegative, got {self.atom_cap}")
-        if self.mode == "both" and self.atom_cap is None:
-            raise ValueError(f"mode {self.mode!r} requires atom_cap")
 
 
 @dataclass
@@ -387,7 +382,7 @@ def pursue(
     finite = np.isfinite(flat_signals).all(axis=1)
     if not finite.all():
         raise ValueError(f"signal {int(np.argmin(finite))} holds a nan or an inf")
-    cap = dim if rule.mode == "target_sse" else rule.atom_cap
+    cap = dim if rule.atom_cap is None else rule.atom_cap
     if cap > dim:
         raise ValueError(f"atom_cap {cap} exceeds the signal dimension {dim}")
 

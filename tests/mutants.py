@@ -11,7 +11,8 @@ the old text (which must occur exactly once) is replaced by the new. The
 named test file runs first with ``pytest -x -q``; the whole suite runs only
 if no test of that file fails. A mutant is killed when a test fails
 or a run times out, and survives when the whole suite passes. A named file
-that does not kill its mutant is reported, and the suite's verdict stands.
+that does not kill its mutant by itself fails the run, even when the whole
+suite kills it.
 A clean copy runs first, so a suite that already fails kills nothing by
 accident.
 
@@ -19,7 +20,8 @@ accident.
 the pursuit computes, so every output stays the same and they must survive;
 they name no file, since the whole suite runs for them anyway. An old text
 that no longer matches its file is an error: the list follows the code.
-Exit status 0 means every mutant met its expectation.
+Exit status 0 means every mutant met its expectation and every named file
+killed its own mutant.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ MUTANTS = [
     (PURSUIT, "TIE_TOL = 1e-12", "TIE_TOL = 1e-3",
      "a tie window wide enough to pick atoms whose correlations really differ",
      "tests/test_golden.py"),
+    (PURSUIT, "cap = dim if rule.atom_cap is None else rule.atom_cap", "cap = dim",
+     "pursue ignores a rule's atom cap and pursues each signal up to its dimension",
+     "tests/test_pursuit.py"),
     (PURSUIT, "(rows.sse <= threshold) | (rows.k == cap)", "rows.sse <= threshold",
      "rows that hold the atom cap keep being pursued",
      "tests/test_cli.py"),
@@ -133,6 +138,13 @@ MUTANTS = [
     (CODEC, "    bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))",
      "    bad = np.flatnonzero(flats >= n_base * n_base)",
      "deserialize no longer checks the coefficient range",
+     "tests/test_codec.py"),
+    (CODEC, "if block == 0 or width % block or height % block:", "if block == 0:",
+     "deserialize takes a block size that does not tile the image",
+     "tests/test_codec.py"),
+    (CODEC, "        if self.total_atoms == 0:\n            return math.inf\n",
+     "        if self.total_atoms == 0:\n            return 0.0\n",
+     "an image that holds no atoms reports a compression ratio of 0",
      "tests/test_codec.py"),
     (CODEC, "if len(counts) and np.minimum.reduce(counts) < 0:", "if False:",
      "the constructor accepts a negative count",
@@ -290,7 +302,7 @@ def main() -> int:
     wrong = 0
     for ((file, _, _, why, killer), should_kill), (failure, by_killer) in zip(cases, results):
         verdict = "survived" if failure is None else f"killed by {failure}"
-        met = (failure is not None) == should_kill
+        met = (failure is not None) == should_kill and (killer is None or by_killer)
         wrong += not met
         print(f"{'ok ' if met else 'BAD'} {verdict:<70} {Path(file).name}: {why}")
         if killer is not None and not by_killer:

@@ -118,6 +118,17 @@ class TestEncode:
         assert report.achieved_psnr == math.inf
         np.testing.assert_allclose(decode(enc, dict2_linear16), 128.0, atol=1e-10)
 
+    def test_blank_image_holds_no_atoms(self):
+        d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, 8))
+        enc, report = encode(ImageGray8.from_array(np.zeros((16, 16), np.uint8)), d, 40.0)
+        assert enc.counts.tolist() == [0, 0, 0, 0]
+        assert report.total_atoms == 0
+        assert report.compression_ratio == math.inf
+        assert report.achieved_psnr == math.inf
+        back = deserialize(serialize(enc))
+        assert back == enc
+        assert decode(back, d).tobytes() == np.zeros((16, 16)).tobytes()
+
     def test_reaches_target(self, dict2_linear16, small_image):
         enc, report = encode(small_image, dict2_linear16, 40.0)
         assert report.achieved_psnr >= 40.0
@@ -150,7 +161,7 @@ class TestEncode:
         whole, _ = encode(image, d, 40.0)
         ty, tx = 64, 128
         tile, _ = encode(ImageGray8.from_array(pixels[ty : ty + 64, tx : tx + 64].astype(np.uint8)), d, 40.0)
-        rule = StoppingRule("both", psnr_to_block_sse(40.0, L), L * L)
+        rule = StoppingRule(sse_threshold=psnr_to_block_sse(40.0, L), atom_cap=L * L)
         per, across = 64 // L, 256 // L
         for n, block in enumerate(tile.blocks):
             by, bx = ty // L + n // per, tx // L + n % per
@@ -369,6 +380,13 @@ class TestContainer:
         with pytest.raises(ContainerError, match=f"image {side} 0") as excinfo:
             deserialize(header)
         assert excinfo.value.offset == offset
+
+    def test_block_size_that_does_not_tile_is_rejected(self):
+        data = bytearray(self._one_entry_container(0, 1.0))
+        data[14:16] = struct.pack("<H", 3)
+        with pytest.raises(ContainerError, match=re.escape("block size 3 does not tile 16x16")) as excinfo:
+            deserialize(bytes(data))
+        assert excinfo.value.offset == 14
 
     def test_unknown_dictionary_code(self):
         header = struct.pack("<4sHIIHBId", b"SIC1", 1, 16, 16, 16, 9, 86, 40.0)

@@ -50,23 +50,29 @@ def random_dictionary(rng, dim, n_atoms):
 
 class TestStoppingRule:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            StoppingRule(mode="whenever")
+        for mode in ("whenever", "target_sse", "max_atoms"):
+            with pytest.raises(ValueError, match=mode):
+                StoppingRule(mode=mode)
+        assert StoppingRule(mode="both") == StoppingRule()
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match="sse_threshold"):
-            StoppingRule(mode="target_sse", sse_threshold=-1.0)
-
-    def test_cap_required_for_cap_modes(self):
-        with pytest.raises(ValueError, match="atom_cap"):
-            StoppingRule(mode="both")
+            StoppingRule(sse_threshold=-1.0)
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="atom_cap must be nonnegative"):
-            StoppingRule(mode="both", atom_cap=-1)
+            StoppingRule(atom_cap=-1)
+
+    def test_cap_holds_at_any_threshold(self):
+        # no cap means the signal dimension; a cap below it stops the
+        # pursuit even where the threshold of 0.0 is never met
+        f, md = np.arange(1.0, 7.0)[None], MatrixDictionary(np.eye(6))
+        for rule, count in ((StoppingRule(sse_threshold=0.0, atom_cap=2), 2), (StoppingRule(sse_threshold=0.0), 6)):
+            counts, _, _, _ = pursue(f, md, rule)
+            assert counts.tolist() == [count]
 
     def test_cap_above_dimension_rejected_at_run(self, dict2_linear16):
-        rule = StoppingRule(mode="both", sse_threshold=1.0, atom_cap=300)
+        rule = StoppingRule(sse_threshold=1.0, atom_cap=300)
         with pytest.raises(ValueError, match="dimension"):
             run_omp(np.zeros((16, 16)), dict2_linear16, rule)
 
@@ -103,7 +109,7 @@ class TestSelectAtom:
         U = d.base.matrix
         f = 3.0 * np.outer(U[:, twin[0]], U[:, twin[1]])
         assert select_atom(PursuitState(f, capacity=1), d) == expected
-        block, _ = run_omp(f, d, StoppingRule("target_sse", 1e-20))
+        block, _ = run_omp(f, d, StoppingRule(sse_threshold=1e-20))
         assert [address for address, _ in block.entries] == [expected]
         assert block.entries[0][1] == pytest.approx(3.0, abs=1e-12)
 
@@ -146,7 +152,7 @@ class TestTieWindow:
         md = MatrixDictionary(np.array([a, b] if first == 0 else [b, a]).T)
         f = np.ones(3)
         assert select_atom(PursuitState(f, capacity=1), md) == 0
-        rule = StoppingRule("both", atom_cap=1)
+        rule = StoppingRule(atom_cap=1)
         others = np.random.default_rng(3).normal(size=(4, 3))
         for stack in (f[None], np.vstack([others, f]), np.vstack([f, others, f])):
             counts, flats, _, _ = pursue(stack, md, rule)
@@ -190,7 +196,7 @@ class TestMaskedRowsInAGroup:
     @pytest.mark.parametrize("cap", [7, 9, 17])
     def test_grouped_rows_equal_their_pursuit_alone(self, cap, pairs):
         md, signals = self.masking_case(pairs)
-        rule = StoppingRule("both", atom_cap=cap)
+        rule = StoppingRule(atom_cap=cap)
         counts, flats, coeffs, sse = pursue(signals, md, rule)
         for (addresses, values), s, signal in zip(per_signal(counts, flats, coeffs), sse, signals):
             alone, alone_norm = run_omp(signal, md, rule)
@@ -207,7 +213,7 @@ class TestMaskedRowsInAGroup:
         atoms = rng.normal(size=(18, 24))
         md = MatrixDictionary(np.column_stack([atoms, atoms]))
         f = atoms[:, :3].sum(axis=1)
-        block, _ = run_omp(f, md, StoppingRule("target_sse", 0.0))
+        block, _ = run_omp(f, md, StoppingRule(sse_threshold=0.0))
         state = PursuitState(f, capacity=18)
         while state.k < len(block):
             orthogonalize_and_update(state, md, select_atom(state, md))
@@ -221,7 +227,7 @@ class TestGroups:
     def groups(dictionary, count):
         """The ids of each group ``pursue`` makes of ``count`` zero signals, in call order."""
         with mock.patch.object(sparseimg.pursuit, "_pursue_group", wraps=sparseimg.pursuit._pursue_group) as spy:
-            counts, _, _, _ = pursue(np.zeros((count, 16, 16)), dictionary, StoppingRule("target_sse", 0.0))
+            counts, _, _, _ = pursue(np.zeros((count, 16, 16)), dictionary, StoppingRule(sse_threshold=0.0))
         assert counts.tolist() == [0] * count
         return [call.args[0].ids.tolist() for call in spy.call_args_list]
 
@@ -402,7 +408,7 @@ class TestRunOmp:
     def test_single_planted_atom(self, dict2_linear16):
         U = dict2_linear16.base.matrix
         f = 3.7 * np.outer(U[:, 2], U[:, 9])
-        block, residual_norm = run_omp(f, dict2_linear16, StoppingRule("target_sse", 1e-12))
+        block, residual_norm = run_omp(f, dict2_linear16, StoppingRule(sse_threshold=1e-12))
         assert len(block) == 1
         (address, coeff), = block.entries
         assert address == (2, 9)
@@ -416,7 +422,7 @@ class TestRunOmp:
             - 1.5 * np.outer(U[:, 33], U[:, 5])
             + 0.7 * np.outer(U[:, 60], U[:, 70])
         )
-        block, residual_norm = run_omp(f, dict2_linear16, StoppingRule("target_sse", 1e-20))
+        block, residual_norm = run_omp(f, dict2_linear16, StoppingRule(sse_threshold=1e-20))
         assert residual_norm**2 <= 1e-20
         assert len(block) <= 16 * 16
         assert sorted(addr for addr, _ in block.entries) == [(0, 40), (33, 5), (60, 70)]
@@ -424,7 +430,7 @@ class TestRunOmp:
     def test_infinite_threshold_selects_nothing(self, dict2_linear16):
         f = np.ones((16, 16))
         block, residual_norm = run_omp(
-            f, dict2_linear16, StoppingRule("target_sse", float("inf"))
+            f, dict2_linear16, StoppingRule(sse_threshold=float("inf"))
         )
         assert block.entries == []
         assert residual_norm == pytest.approx(np.linalg.norm(f))
@@ -433,14 +439,14 @@ class TestRunOmp:
         rng = np.random.default_rng(0)
         f = rng.normal(size=(16, 16))
         for cap in (0, 7):
-            block, _ = run_omp(f, dict2_linear16, StoppingRule("both", atom_cap=cap))
+            block, _ = run_omp(f, dict2_linear16, StoppingRule(atom_cap=cap))
             assert len(block) == cap
 
     def test_approximation_equals_projection(self):
         rng = np.random.default_rng(23)
         md = random_dictionary(rng, 10, 25)
         f = rng.normal(size=10)
-        block, _ = run_omp(f, md, StoppingRule("both", atom_cap=6))
+        block, _ = run_omp(f, md, StoppingRule(atom_cap=6))
         addresses = [addr for addr, _ in block.entries]
         A = np.column_stack([md.atom_flat(i) for i in addresses])
         projection = A @ np.linalg.lstsq(A, f, rcond=None)[0]
@@ -452,7 +458,7 @@ class TestRunOmp:
         # signal is unreachable and the selection maximum drops to zero
         md = MatrixDictionary(np.eye(3)[:, :2])
         f = np.array([1.0, 0.0, 2.0])
-        block, residual_norm = run_omp(f, md, StoppingRule("target_sse", 0.0))
+        block, residual_norm = run_omp(f, md, StoppingRule(sse_threshold=0.0))
         assert block.entries == [(0, 1.0)]
         assert residual_norm == pytest.approx(2.0)
 
@@ -463,7 +469,7 @@ class TestRunOmp:
         md = MatrixDictionary(np.column_stack([a, a]))
         f = np.array([0.3, 0.7])
         with pytest.raises(PursuitExhaustedError):
-            run_omp(f, md, StoppingRule("target_sse", 0.0))
+            run_omp(f, md, StoppingRule(sse_threshold=0.0))
 
     def test_dictionary_without_atoms_is_rejected(self):
         with pytest.raises(ValueError, match="no atom columns"):
@@ -485,12 +491,12 @@ class TestRunOmp:
 
     def test_signal_shape_mismatch(self, dict2_linear16):
         with pytest.raises(ValueError, match="shape"):
-            run_omp(np.zeros(256), dict2_linear16, StoppingRule("target_sse", 1.0))
+            run_omp(np.zeros(256), dict2_linear16, StoppingRule(sse_threshold=1.0))
 
     def test_determinism(self, dict2_linear16):
         rng = np.random.default_rng(5)
         f = rng.integers(0, 256, size=(16, 16)).astype(float)
-        rule = StoppingRule("both", sse_threshold=500.0, atom_cap=64)
+        rule = StoppingRule(sse_threshold=500.0, atom_cap=64)
         first, _ = run_omp(f, dict2_linear16, rule)
         second, _ = run_omp(f, dict2_linear16, rule)
         assert first.entries == second.entries
@@ -499,7 +505,7 @@ class TestRunOmp:
         rng = np.random.default_rng(9)
         f = rng.normal(size=(16, 16))
         trace = []
-        _, flats, _, sse = pursue(f[None], dict2_linear16, StoppingRule("both", atom_cap=5), trace=trace)
+        _, flats, _, sse = pursue(f[None], dict2_linear16, StoppingRule(atom_cap=5), trace=trace)
         assert len(trace) == len(flats) == 5
         assert [row[0] for row in trace] == [0] * 5
         ks = [row[1] for row in trace]
@@ -518,7 +524,7 @@ class TestRunOmp:
             f = rng.normal(size=dim)
             trace = []
             cap = int(rng.integers(1, min(dim, 10) + 1))
-            rule = StoppingRule("both", atom_cap=cap)
+            rule = StoppingRule(atom_cap=cap)
             pursue(f[None], md, rule, trace=trace)
             block, residual_norm = run_omp(f, md, rule)
             sses = [f @ f] + [row[4] for row in trace]
@@ -536,7 +542,7 @@ class TestRunOmp:
             md = random_dictionary(rng, dim, n_atoms)
             f = rng.normal(size=dim)
             cap = int(rng.integers(1, min(dim, n_atoms) + 1))
-            block, _ = run_omp(f, md, StoppingRule("both", atom_cap=cap))
+            block, _ = run_omp(f, md, StoppingRule(atom_cap=cap))
             if not block.entries:
                 continue
             addresses = [addr for addr, _ in block.entries]
@@ -552,7 +558,7 @@ class TestRunOmp:
         U = d.base.matrix
         f = 40.0 * np.outer(U[:, 0], U[:, 0]) + 3.0 * np.outer(U[:, 5], U[:, 200])
         f += 0.5 * np.outer(U[:, 150], U[:, 9])
-        rule = StoppingRule("both", sse_threshold=1e-12, atom_cap=64 * 64)
+        rule = StoppingRule(sse_threshold=1e-12, atom_cap=64 * 64)
         tracemalloc.start()
         try:
             PursuitState(f, capacity=64 * 64)
@@ -570,7 +576,7 @@ class TestRunOmp:
     def test_reorthogonalization_keeps_gram_tight_at_full_depth(self, dict2_linear16):
         rng = np.random.default_rng(41)
         f = rng.normal(size=(16, 16))
-        rule = StoppingRule("both", atom_cap=256)
+        rule = StoppingRule(atom_cap=256)
         state = PursuitState(f, capacity=256)
         for _ in range(256):
             orthogonalize_and_update(state, dict2_linear16, select_atom(state, dict2_linear16))
@@ -606,7 +612,7 @@ class TestNonFiniteSignals:
                 self.correlations += 1
                 return self.inner.correlate(residual)
 
-        rule = StoppingRule("target_sse", 1.0)
+        rule = StoppingRule(sse_threshold=1.0)
         block = np.zeros((8, 8))
         block[3, 5] = np.nan
         stack = np.zeros((5, 4))

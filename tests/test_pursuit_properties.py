@@ -121,10 +121,9 @@ def problems(draw):
 @st.composite
 def rules_and_groups(draw, dim):
     """A stopping rule for signals of ``dim`` samples and a group size."""
-    mode = draw(st.sampled_from(pursuit.STOP_MODES))
     threshold = draw(st.sampled_from([0.0, 1e-12, 0.5, 4.0, math.inf]))
-    cap = draw(st.integers(0, dim))
-    rule = StoppingRule(mode, sse_threshold=threshold, atom_cap=None if mode == "target_sse" else cap)
+    cap = draw(st.none() | st.integers(0, dim))
+    rule = StoppingRule(sse_threshold=threshold, atom_cap=cap)
     return rule, draw(st.integers(1, 4))
 
 
@@ -276,7 +275,7 @@ def test_high_k_residual_is_the_least_squares_residual(L):
     # seen is about 3e-20 of the block energy
     d = Dictionary2D(assemble_dictionary(DictionaryKind.DCT2_LINEAR, L))
     blocks = to_blocks(crop("texture").as_float()[:64, :64], L).reshape(-1, L, L)
-    rule = StoppingRule("both", psnr_to_block_sse(80.0, L), L * L)
+    rule = StoppingRule(sse_threshold=psnr_to_block_sse(80.0, L), atom_cap=L * L)
     counts, flats, _, sse = pursuit.pursue(blocks, d, rule)
     assert counts.max() > 2 * L
     for block, block_flats, block_sse in zip(blocks, np.split(flats, np.cumsum(counts)[:-1]), sse):
