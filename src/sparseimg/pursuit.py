@@ -19,9 +19,11 @@ atoms.
 One loop pursues a group of signals together. Its state is row-stacked,
 one row per signal. Each step first retires the rows that met the
 threshold or hold the cap, then makes one attempt, accepted or masked, for
-every live row, with one numpy call of each kind: correlate, masked
-argmax, Gram row, factor update, synthesis. A row's result never depends
-on the group it is pursued in: every reduction runs over dimensions fixed
+every live row, with one numpy call of each kind: correlate, first-maximum
+argmax, masked max, Gram row, factor update, synthesis. Only the rows where
+a second candidate lies within ``TIE_TOL`` of the maximum also compare
+every candidate against that window. A row's result never depends on the
+group it is pursued in: every reduction runs over dimensions fixed
 by the dictionary or by the capacity, which steps through ``8, 16, 32,
 ...`` as the group's step count reaches it, just as it would for the row
 alone (BLAS dot products change with zero padding, so a width set by the
@@ -189,14 +191,28 @@ def _select(rows: _Rows, dictionary) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Each row's pick: candidate position, largest ``|corr|`` and the
     picked candidate's ``|corr|``. Tried candidates are excluded; among the
     candidates within ``TIE_TOL`` of the maximum the smallest address wins.
-    A maximum of -1 means every candidate is excluded."""
+    A maximum of -1 means every candidate is excluded.
+
+    Two passes over the correlations decide almost every row: an argmax
+    finds the first maximum, and a max over the others, with the first
+    maximum set aside, tells whether another candidate lies in the tie
+    window. Only the rows where one does compare every candidate against
+    the window, and take the first candidate in it."""
     n = len(rows)
     corr = dictionary.correlate(rows.residual.reshape((n,) + dictionary.signal_shape))
     mag = np.abs(corr, out=corr)  # correlate returns a fresh array each call
     mag[rows.column, rows.tried] = -1.0
-    top = np.maximum.reduce(mag, axis=1)
-    pos = (mag >= (top * (1.0 - TIE_TOL))[:, None]).argmax(axis=1)
-    return pos, top, mag[rows.row, pos]
+    pos = mag.argmax(axis=1)
+    top = mag[rows.row, pos]
+    floor = top * (1.0 - TIE_TOL)
+    mag[rows.row, pos] = -1.0
+    picked = top.copy()
+    tied = np.flatnonzero(np.maximum.reduce(mag, axis=1) >= floor)
+    if len(tied):
+        mag[tied, pos[tied]] = top[tied]
+        pos[tied] = (mag[tied] >= floor[tied, None]).argmax(axis=1)
+        picked[tied] = mag[tied, pos[tied]]
+    return pos, top, picked
 
 
 def _accept(rows: _Rows, dictionary, flat: np.ndarray) -> np.ndarray:
@@ -253,16 +269,18 @@ class PursuitState:
     k : int
         Number of accepted atoms.
 
-    At most ``capacity`` atoms (capped at the signal dimension) are
-    accepted, and storage grows with them. A nan or inf raises ValueError.
+    At most ``capacity`` atoms are accepted, and storage grows with them. A
+    nan or inf, or a capacity above the signal dimension, raises ValueError.
     """
 
     def __init__(self, signal: np.ndarray, capacity: int):
         signal = np.array(signal, dtype=np.float64)  # a copy, held as the row's target
         if not np.isfinite(signal).all():
             raise ValueError("signal holds a nan or an inf")
+        if capacity > signal.size:
+            raise ValueError(f"atom_cap {capacity} exceeds the signal dimension {signal.size}")
         self.shape = signal.shape
-        self.capacity = min(int(capacity), signal.size)
+        self.capacity = int(capacity)
         self.selected: list = []
         self.masked: set[int] = set()
         self._dictionary = None  # the dictionary of the accepted atoms

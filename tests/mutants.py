@@ -70,9 +70,15 @@ MUTANTS = [
     (PURSUIT, "tried = [*rows.flats[0, : state.k], *state.masked]", "tried = [*rows.flats[0, : state.k]]",
      "select_atom offers masked atoms again",
      "tests/test_pursuit.py"),
-    (PURSUIT, "pos = (mag >= (top * (1.0 - TIE_TOL))[:, None]).argmax(axis=1)",
-     "pos = mag.shape[1] - 1 - (mag >= (top * (1.0 - TIE_TOL))[:, None])[:, ::-1].argmax(axis=1)",
+    (PURSUIT, "pos[tied] = (mag[tied] >= floor[tied, None]).argmax(axis=1)",
+     "pos[tied] = mag.shape[1] - 1 - (mag[tied] >= floor[tied, None])[:, ::-1].argmax(axis=1)",
      "ties go to the largest address",
+     "tests/test_pursuit.py"),
+    (PURSUIT, "    if len(tied):", "    if False:",
+     "no tie fallback: the first maximum wins over a smaller address inside the tie window",
+     "tests/test_pursuit.py"),
+    (PURSUIT, "        if capacity > signal.size:\n", "        if False:\n",
+     "the stepwise state takes a capacity above the signal dimension",
      "tests/test_pursuit.py"),
     (PURSUIT, "    if not finite.all():", "    if False:",
      "pursue takes a signal that holds a nan, and its pursuit never ends",

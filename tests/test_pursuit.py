@@ -160,6 +160,22 @@ class TestTieWindow:
                 if np.array_equal(signal, f):
                     assert addresses.tolist() == [0]
 
+    def test_near_tie_on_either_side_of_the_first_maximum(self):
+        # the first maximum is candidate 1 in rows 0 and 1; a candidate
+        # 1e-13 below it, inside the window but not an exact tie, comes
+        # before it in row 0 and after it in row 1; row 2 has no tie
+        near = 1.0 - 1e-13
+        stack = np.array([[near, 1.0, 0.2, 0.1], [0.2, 1.0, near, 0.1], [0.1, 0.2, 1.0, 0.5]])
+        md, rule = MatrixDictionary(np.eye(4)), StoppingRule(atom_cap=1)
+        trace = []
+        counts, flats, coeffs, sse = pursue(stack, md, rule, trace=trace)
+        assert flats.tolist() == [0, 1, 2]
+        # each row holds one atom, so its part of every column is one entry
+        for signal, got in zip(stack, zip(counts, flats, coeffs, sse)):
+            alone = pursue(signal[None], md, rule)
+            assert [a.tobytes() for a in alone] == [np.atleast_1d(g).tobytes() for g in got]
+        assert [row[3] for row in trace] == [near, 1.0, 1.0]
+
 
 class TestMaskedRowsInAGroup:
     @staticmethod
@@ -351,6 +367,12 @@ class TestOrthogonalizeAndUpdate:
         with pytest.raises(ValueError, match=r"pursuit state is full \(1 atoms\)"):
             orthogonalize_and_update(state, md, 1)
         assert state.selected == [0]
+
+    def test_capacity_above_dimension_is_an_error(self):
+        # the same words as pursue's check of a rule's atom cap
+        with pytest.raises(ValueError, match="^atom_cap 10 exceeds the signal dimension 4$"):
+            PursuitState(np.ones(4), capacity=10)
+        assert PursuitState(np.ones(4), capacity=4).capacity == 4
 
     def test_empty_state_has_empty_bases(self):
         state = PursuitState(np.array([1.0, 0.5, -2.0]), capacity=3)
