@@ -165,7 +165,9 @@ def _mse(original, approx) -> float:
     b = approx.as_float() if isinstance(approx, ImageGray8) else np.asarray(approx, float)
     if a.shape != b.shape:
         raise ValueError(f"image dimensions differ: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    d = a - b
+    np.square(d, out=d)
+    return float(np.mean(d))
 
 
 def _mse_to_psnr(mse: float) -> float:

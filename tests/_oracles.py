@@ -2,10 +2,10 @@
 
 Everything here recomputes results along a different route than the package:
 exact rational truncated-power sums, the 1D dictionary one atom at a time,
-dense flattened inner products,
-normal-equations solves, direct filter-bank convolution, the ``.sic``
-container written and read one entry at a time, and the baselines' kept
-count found with one inverse transform per probe.
+dense flattened inner products, normal-equations solves, direct filter-bank
+convolution, CDF 9/7 lifting over whole columns, the ``.sic`` container
+written and read one entry at a time, and the baselines' kept count found
+with one inverse transform per probe.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from sparseimg import DictionaryKind, EncodedImage, SparseBlock, TransformCoeffs, sample_prototype
-from sparseimg.baselines import inverse_transform
+from sparseimg.baselines import (
+    CDF97_ALPHA,
+    CDF97_BETA,
+    CDF97_DELTA,
+    CDF97_GAMMA,
+    CDF97_SCALE,
+    inverse_transform,
+)
 from sparseimg.dictionary import DILATIONS
 from sparseimg.codec import (
     _HEADER,
@@ -160,6 +167,54 @@ def cdf97_analysis_2d(img: np.ndarray) -> np.ndarray:
     """Single-level separable 2D 9/7 analysis by direct convolution."""
     out = _analyze_axis0(np.asarray(img, float))
     return _analyze_axis0(out.T).T
+
+
+# CDF 9/7 lifting over whole columns, each shift one np.concatenate: the
+# package's lifting before it worked in column strips. Same arithmetic in
+# the same order, so its outputs must be equal to the bit.
+
+
+def _lift_axis0(a: np.ndarray) -> None:
+    n = a.shape[0]
+    s, d = a[0::2].copy(), a[1::2].copy()
+    d += CDF97_ALPHA * (s + np.concatenate([s[1:], s[-1:]]))
+    s += CDF97_BETA * (d + np.concatenate([d[:1], d[:-1]]))
+    d += CDF97_GAMMA * (s + np.concatenate([s[1:], s[-1:]]))
+    s += CDF97_DELTA * (d + np.concatenate([d[:1], d[:-1]]))
+    a[: n // 2] = s * CDF97_SCALE
+    a[n // 2 :] = d / CDF97_SCALE
+
+
+def _unlift_axis0(a: np.ndarray) -> None:
+    n = a.shape[0]
+    s = a[: n // 2] / CDF97_SCALE
+    d = a[n // 2 :] * CDF97_SCALE
+    s -= CDF97_DELTA * (d + np.concatenate([d[:1], d[:-1]]))
+    d -= CDF97_GAMMA * (s + np.concatenate([s[1:], s[-1:]]))
+    s -= CDF97_BETA * (d + np.concatenate([d[:1], d[:-1]]))
+    d -= CDF97_ALPHA * (s + np.concatenate([s[1:], s[-1:]]))
+    a[0::2] = s
+    a[1::2] = d
+
+
+def cdf97_lifted_forward(img: np.ndarray, levels: int) -> np.ndarray:
+    out = np.asarray(img, dtype=np.float64).copy()
+    h, w = out.shape
+    for level in range(levels):
+        band = out[: h >> level, : w >> level]
+        _lift_axis0(band)
+        _lift_axis0(band.T)
+    return out
+
+
+def cdf97_lifted_inverse(values: np.ndarray, levels: int) -> np.ndarray:
+    out = values.copy()
+    h, w = out.shape
+    for level in reversed(range(levels)):
+        band = out[: h >> level, : w >> level]
+        _unlift_axis0(band.T)
+        _unlift_axis0(band)
+    return out
 
 
 # The container codec one struct call per count and per entry, each entry

@@ -216,6 +216,15 @@ MUTANTS = [
     (BASELINES, "math.sqrt(n * mse_at(n))", "math.sqrt(n * mse_at(0))",
      "the Parseval rule reads the keep-nothing probe as its residual, which then settles nothing",
      "tests/test_baselines.py"),
+    (BASELINES, "        if count == flat.size:", "        if count >= flat.size - 1:",
+     "the keep-all probe's shortcut fires one count early and keeps the smallest value too",
+     "tests/test_threshold_properties.py"),
+    (BASELINES, "range(0, a.shape[1], LIFT_STRIP)", "range(0, a.shape[1] - a.shape[1] % LIFT_STRIP, LIFT_STRIP)",
+     "the lifting passes skip the last column strip where it is narrower than the others",
+     "tests/test_baselines.py"),
+    (BASELINES, "    if L < 1:\n", "    if False:\n",
+     "the block DCT takes a block size that is not positive and fails inside numpy",
+     "tests/test_baselines.py"),
     (DICTIONARY,
      "        row[:] = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))\n        row /= np.linalg.norm(row)\n",
      "        row[:] = np.cos(np.pi * (2.0 * j - 1.0) * idx / (4.0 * L))\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from sparseimg.baselines import dct_matrix, inverse_transform
 from sparseimg.codec import psnr
 
 import _corpus
-from _oracles import cdf97_analysis_2d
+from _oracles import cdf97_analysis_2d, cdf97_lifted_forward, cdf97_lifted_inverse
 from conftest import synthetic_image
 
 
@@ -70,6 +71,13 @@ class TestBlockDct:
         with pytest.raises(ValueError, match="divisible"):
             dct2_block_forward(np.zeros((24, 24)), 16)
 
+    @pytest.mark.parametrize("L", [0, -4])
+    def test_block_size_must_be_positive(self, L):
+        with pytest.raises(ValueError, match=f"block size must be positive, got {L}"):
+            dct2_block_forward(np.zeros((16, 16)), L)
+        with pytest.raises(ValueError, match=f"block size must be positive, got {L}"):
+            dct2_block_inverse(TransformCoeffs(kind=baselines.DCT_KIND, values=np.zeros((16, 16)), block_size=L))
+
 
 class TestCdf97:
     def test_constant_image_has_zero_detail(self):
@@ -117,6 +125,27 @@ class TestCdf97:
     def test_levels_validated(self):
         with pytest.raises(ValueError, match="levels"):
             cdf97_forward(np.zeros((64, 64)), levels=0)
+
+    @pytest.mark.parametrize("levels", range(1, 6))
+    @pytest.mark.parametrize("ky, kx", [(1, 41), (67, 3), (5, 2)])
+    def test_lifting_equals_the_whole_column_oracle_to_the_bit(self, levels, ky, kx):
+        """Sides are ``2**levels`` times (ky, kx): a deepest band of 2
+        samples, sides that are no multiple of the strip width, and sides
+        below and above it. Values hold +0.0 and -0.0, and the inverse also
+        gets a probe-like array with about half of them dropped."""
+        rng = np.random.default_rng([levels, ky, kx])
+        h, w = ky << levels, kx << levels
+        img = rng.normal(128.0, 64.0, size=(h, w))
+        img.flat[rng.choice(img.size, img.size // 8, replace=False)] = rng.choice([0.0, -0.0], img.size // 8)
+        img[: h // 2, : w // 2] = np.copysign(0.0, rng.normal(size=(h // 2, w // 2)))
+        forward = cdf97_forward(img, levels)
+        assert forward.values.tobytes() == cdf97_lifted_forward(img, levels).tobytes()
+        dropped = forward.values * (rng.uniform(size=img.shape) < 0.5)
+        for values in (forward.values, dropped):
+            before = values.tobytes()
+            mine = cdf97_inverse(replace(forward, values=values))
+            assert values.tobytes() == before  # the argument is left as it was
+            assert mine.tobytes() == cdf97_lifted_inverse(values, levels).tobytes()
 
 
 class TestThresholdToPsnr:
