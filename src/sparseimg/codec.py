@@ -58,6 +58,12 @@ MAX_N_BASE = 1 << 16
 # decode of coefficients within +-MAX_COEFF overflows (or meets a nan).
 MAX_COEFF = 1e300
 
+# Floats that one decode run may hold: the two factors of its atoms and the
+# products of its blocks, 2 * L * atoms + L * L * blocks (512 KiB). Every
+# 64x64 tile of the benchmark corpus at 40 dB is one run: the largest, mixed
+# with omp_cubic at L = 16, needs 36,160 (1,002 atoms; seeds 1-10).
+RUN_FLOATS = 1 << 16
+
 PEAK = 255.0
 
 
@@ -149,8 +155,10 @@ def write_pgm(path, image) -> None:
 
 
 def clamp_to_u8(image: np.ndarray) -> np.ndarray:
-    """Round and clip a real-valued image to 8-bit pixels."""
-    return np.clip(np.rint(image), 0, 255).astype(np.uint8)
+    """Round and clip a real-valued image to 8-bit pixels; ``image`` is left as it is."""
+    rounded = np.rint(image)
+    # clipped in place by the two ufuncs, which skip np.clip's argument handling
+    return np.minimum(np.maximum(rounded, 0, out=rounded), 255, out=rounded).astype(np.uint8)
 
 
 def psnr(original, approx) -> float:
@@ -381,8 +389,12 @@ def encode(
 def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
     """Superpose every block's atoms; returns a real-valued image.
 
-    Use :func:`clamp_to_u8` for an 8-bit export; PSNR is evaluated on the
-    real-valued output.
+    The blocks are taken in order of atom count, in runs of at most
+    RUN_FLOATS floats: one :meth:`~Dictionary2D.factors` gather per run, one
+    product per atom count into a stack of blocks, and one write of the
+    stack into the image. Each block is ``synthesize`` of its own atoms,
+    bit for bit. Use :func:`clamp_to_u8` for an 8-bit export; PSNR is
+    evaluated on the real-valued output.
     """
     base = dict2d.base
     if (enc.kind, enc.n_base, enc.block_size) != (base.kind, dict2d.n_base, base.block_len):
@@ -394,24 +406,46 @@ def decode(enc: EncodedImage, dict2d: Dictionary2D) -> np.ndarray:
     counts = enc.counts
     order = counts.argsort(kind="stable")  # the blocks by atom count
     atoms = counts.repeat(counts).argsort(kind="stable")  # their atoms, in that order
-    flats, coeffs = enc.flats[atoms], enc.coeffs[atoms]
-    ranked = counts[order]
-    # where the blocks of each atom count start in that order, then the end
-    bounds = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist(), len(counts)] if len(counts) else []
     rows, cols = divmod(order, n_cols)
-    out = np.empty((enc.height, enc.width))  # every block is in one group, so every pixel is written
+    # each distinct atom count, rising, with its number of blocks
+    groups = [(n, k) for k, n in enumerate(np.bincount(counts).tolist()) if n]
+    out = np.empty((enc.height, enc.width))  # every block is in one run, so every pixel is written
     blocks = to_blocks(out, L)
-    # One synthesis per distinct atom count, each block at its own: BLAS does
-    # not promise that a sum padded with zero terms rounds as the sum does.
-    start = 0
-    for a, b in zip(bounds, bounds[1:]):
-        k = int(ranked[a])
-        stop = start + (b - a) * k
-        blocks[rows[a:b], cols[a:b]] = dict2d.synthesize(
-            flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k)
-        )
-        start = stop
+    a = s = 0  # the run's first block in that order, and its first atom
+    for run in _runs(groups, L):
+        b, e = a + sum(n for n, _ in run), s + sum(n * k for n, k in run)
+        run_atoms = atoms[s:e]
+        left, right = dict2d.factors(enc.flats[run_atoms], enc.coeffs[run_atoms])
+        stack = np.empty((b - a, L, L))
+        # One product per atom count, each block at its own: BLAS does not
+        # promise that a sum padded with zero terms rounds as the sum does.
+        i = t = 0  # where the piece's blocks start in the stack, and its atoms in the factors
+        for n, k in run:
+            u = t + n * k
+            np.matmul(left[t:u].reshape(n, k, L).swapaxes(1, 2), right[t:u].reshape(n, k, L), out=stack[i : i + n])
+            i, t = i + n, u
+        blocks[rows[a:b], cols[a:b]] = stack
+        a, s = b, e
     return out
+
+
+def _runs(groups, L: int):
+    """Split ``(blocks, atom count)`` groups, in decode order, into runs of
+    pieces of the same form, each run within RUN_FLOATS floats of factors
+    and products (a block alone may exceed it)."""
+    run, need = [], 0
+    for n, k in groups:
+        per = L * (2 * k + L)  # a block's two factors and its product
+        while n:
+            if run and need + per > RUN_FLOATS:
+                yield run
+                run, need = [], 0
+            m = min(n, max(1, (RUN_FLOATS - need) // per))
+            run.append((m, k))
+            need += m * per
+            n -= m
+    if run:
+        yield run
 
 
 def serialize(enc: EncodedImage) -> bytes:
@@ -493,9 +527,14 @@ def deserialize(data: bytes) -> EncodedImage:
     counts = np.array(counts, dtype=np.intp)
     entries = np.frombuffer(b"".join(runs), _ENTRY)
     del runs  # held to the end, the runs raised the peak on a mixed 512² container by a third
-    flats, coeffs = entries["flat"].astype(np.intp), entries["coeff"].copy()
-    bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))
-    if len(bad):
+    # the constructor copies the strided coefficients into a column of its own
+    flats, coeffs = entries["flat"].astype(np.intp), entries["coeff"]
+    # One reduction per column: a nan maximum fails the <=, as a nan entry
+    # does. The scan for the first bad entry runs only when one fails.
+    if len(flats) and not (
+        np.maximum.reduce(flats) < n_base * n_base and np.maximum.reduce(np.abs(coeffs)) <= MAX_COEFF
+    ):
+        bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))
         t = int(bad[0])
         at = _HEADER.size + _COUNT.itemsize * (_block_of(np.cumsum(counts), t) + 1) + _ENTRY.itemsize * t
         if flats[t] >= n_base * n_base:

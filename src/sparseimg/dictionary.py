@@ -232,9 +232,9 @@ class Dictionary2D:
     exact ties between such twins the argmax would be settled by rounding.
 
     The pursuit methods (``correlate``, ``analyze``, ``gram``,
-    ``synthesize``) work on stacks of signals or atom lists, one per
-    leading index, and compute each entry of the stack the same way whatever
-    the stack holds. ``correlate`` returns a new array, which pursuit
+    ``synthesize`` and its ``factors``) work on stacks of signals or atom
+    lists, one per leading index, and compute each entry of the stack the
+    same way whatever the stack holds. ``correlate`` returns a new array, which pursuit
     overwrites.
     """
 
@@ -298,13 +298,21 @@ class Dictionary2D:
         G = self.base.gram
         return G[i, I] * G[j, J]
 
-    def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``, one block per
-        leading index: ``U_I diag(c) U_J^T``."""
+    def factors(self, flats: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two factors of :meth:`synthesize`, ``(diag(c) U_I^T, U_J^T)``,
+        as new ``(..., k, L)`` stacks: row ``t`` of the left holds the first
+        1D atom of ``flats[..., t]`` times ``coeffs[..., t]``, and row ``t``
+        of the right its second 1D atom."""
         I, J = np.divmod(flats, self.n_base)
         left = self._rows.take(I, axis=0)
         left *= coeffs[..., None]
-        return np.matmul(left.swapaxes(-1, -2), self._rows.take(J, axis=0))
+        return left, self._rows.take(J, axis=0)
+
+    def synthesize(self, flats: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Sum of ``coeffs[..., t]`` times atom ``flats[..., t]``, one block per
+        leading index: ``U_I diag(c) U_J^T``."""
+        left, right = self.factors(flats, coeffs)
+        return np.matmul(left.swapaxes(-1, -2), right)
 
 
 def correlate_all(dict2d: Dictionary2D, block: np.ndarray) -> np.ndarray:

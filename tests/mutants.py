@@ -111,14 +111,21 @@ MUTANTS = [
      "from_array fails inside numpy on an empty integer array",
      "tests/test_codec.py"),
     (CODEC,
-     "    start = 0\n"
-     "    for a, b in zip(bounds, bounds[1:]):\n"
-     "        k = int(ranked[a])\n"
-     "        stop = start + (b - a) * k\n"
-     "        blocks[rows[a:b], cols[a:b]] = dict2d.synthesize(\n"
-     "            flats[start:stop].reshape(b - a, k), coeffs[start:stop].reshape(b - a, k)\n"
-     "        )\n"
-     "        start = stop\n",
+     "    a = s = 0  # the run's first block in that order, and its first atom\n"
+     "    for run in _runs(groups, L):\n"
+     "        b, e = a + sum(n for n, _ in run), s + sum(n * k for n, k in run)\n"
+     "        run_atoms = atoms[s:e]\n"
+     "        left, right = dict2d.factors(enc.flats[run_atoms], enc.coeffs[run_atoms])\n"
+     "        stack = np.empty((b - a, L, L))\n"
+     "        # One product per atom count, each block at its own: BLAS does not\n"
+     "        # promise that a sum padded with zero terms rounds as the sum does.\n"
+     "        i = t = 0  # where the piece's blocks start in the stack, and its atoms in the factors\n"
+     "        for n, k in run:\n"
+     "            u = t + n * k\n"
+     "            np.matmul(left[t:u].reshape(n, k, L).swapaxes(1, 2), right[t:u].reshape(n, k, L), out=stack[i : i + n])\n"
+     "            i, t = i + n, u\n"
+     "        blocks[rows[a:b], cols[a:b]] = stack\n"
+     "        a, s = b, e\n",
      "    k = int(counts.max())\n"
      "    at = np.minimum((np.cumsum(counts) - counts)[:, None] + np.arange(k), len(enc.flats) - 1)\n"
      "    real = np.arange(k) < counts[:, None]\n"
@@ -128,6 +135,12 @@ MUTANTS = [
      "tests/test_codec.py"),
     (CODEC, "    rows, cols = divmod(order, n_cols)\n", "    rows, cols = divmod(np.arange(len(counts)), n_cols)\n",
      "decode writes each group to the first blocks in block order, not to its own blocks",
+     "tests/test_codec.py"),
+    (CODEC, "                yield run\n                run, need = [], 0\n", "                run, need = [], 0\n",
+     "decode drops a run when the next one starts, so its blocks are never written",
+     "tests/test_codec.py"),
+    (CODEC, "    rounded = np.rint(image)\n", "    rounded = np.rint(image, out=image)\n",
+     "clamp_to_u8 rounds and clips its argument in place",
      "tests/test_codec.py"),
     (CODEC, "_ENTRY.itemsize * (ends - counts)", "_ENTRY.itemsize * ends",
      "serialize puts each block's count after its entries, not in front of them",
@@ -144,6 +157,9 @@ MUTANTS = [
     (CODEC, "    bad = np.flatnonzero((flats >= n_base * n_base) | ~(np.abs(coeffs) <= MAX_COEFF))",
      "    bad = np.flatnonzero(flats >= n_base * n_base)",
      "deserialize no longer checks the coefficient range",
+     "tests/test_codec.py"),
+    (CODEC, " and np.maximum.reduce(np.abs(coeffs)) <= MAX_COEFF\n", "\n",
+     "deserialize's range reduction leaves out the coefficients, so a nan or huge one is read",
      "tests/test_codec.py"),
     (CODEC, "if block == 0 or width % block or height % block:", "if block == 0:",
      "deserialize takes a block size that does not tile the image",

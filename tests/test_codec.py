@@ -34,6 +34,7 @@ from sparseimg.codec import (
     serialize,
     to_blocks,
 )
+from sparseimg import codec
 from sparseimg.codec import SparsityReport
 from sparseimg.cli import append_report, read_report
 
@@ -282,23 +283,66 @@ class TestDecode:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_synthesizes_each_block_at_its_own_atom_count(self, dict2_linear16, small_image):
+    def test_synthesizes_each_block_at_its_own_atom_count(self, dict2_linear16, small_image, monkeypatch):
         # BLAS may sum a zero-padded block in another order than the block
         # itself, so no block is widened to the count of another.
+        # Each product is one np.matmul of an (n, L, k) stack by an (n, k, L) one.
         enc, _ = encode(small_image, dict2_linear16, 40.0)
         calls = []
+        matmul = np.matmul
 
-        class Recording:
-            def __getattr__(self, name):
-                return getattr(dict2_linear16, name)
+        def recording(a, b, **kwargs):
+            calls.append((a.shape[0], a.shape[-1]))
+            return matmul(a, b, **kwargs)
 
-            def synthesize(self, flats, coeffs):
-                calls.append(flats.shape)
-                return dict2_linear16.synthesize(flats, coeffs)
-
-        decode(enc, Recording())
+        monkeypatch.setattr(np, "matmul", recording)
+        decode(enc, dict2_linear16)
         assert sorted(k for _, k in calls) == sorted(set(enc.counts.tolist()))
         assert sum(n for n, _ in calls) == len(enc.counts)
+
+    def test_decode_of_a_whole_image_at_block_8_peaks_below_8_mb(self):
+        # The output is 2 MiB, and this container holds 4,096 blocks.
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, 8)
+        enc, _ = encode(ImageGray8.from_array(_corpus.corpus.make_image("mixed", 1)), d, 40.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            decode(enc, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_runs_split_anywhere_give_the_same_pixels(self, monkeypatch):
+        # 64 blocks at L = 8 with 0 to 19 atoms, a fifth of them empty. The
+        # budgets put each block in a run of its own, end a run exactly where
+        # the empty blocks end, and split groups inside.
+        rng = np.random.default_rng(7)
+        d = _corpus.dictionary(DictionaryKind.DCT2_LINEAR, 8)
+        counts = np.where(rng.random(64) < 0.2, 0, rng.integers(1, 20, 64))
+        enc = EncodedImage(
+            64, 64, 8, DictionaryKind.DCT2_LINEAR, d.n_base, 40.0,
+            counts, rng.choice(d.candidates, counts.sum()), rng.normal(0.0, 50.0, counts.sum()),
+        )
+        whole = decode(enc, d)
+        runs = []
+        factors = Dictionary2D.factors
+
+        def counting(self, flats, coeffs):
+            runs.append(len(flats))
+            return factors(self, flats, coeffs)
+
+        monkeypatch.setattr(Dictionary2D, "factors", counting)
+        empty = int((counts == 0).sum()) * 64  # the floats of the empty blocks' products
+        split = []  # all held, so that no decode reuses another's pixels
+        for budget in (1, empty, 1000, 5000):
+            monkeypatch.setattr(codec, "RUN_FLOATS", budget)
+            runs.clear()
+            split.append(decode(enc, d))
+            assert len(runs) > 1
+            if budget == empty:
+                assert runs[0] == 0  # the first run holds the empty blocks and nothing else
+            assert split[-1].tobytes() == whole.tobytes(), f"run budget {budget}"
 
     def test_empty_block_is_zero(self, dict2_linear16):
         enc = EncodedImage(
@@ -804,3 +848,12 @@ class TestImageGray8:
     def test_clamp_rounds_and_saturates(self):
         out = clamp_to_u8(np.array([[-3.0, 0.4, 254.6, 300.0]]))
         np.testing.assert_array_equal(out, np.array([[0, 0, 255, 255]], np.uint8))
+
+    def test_clamp_leaves_its_argument_and_rounds_as_clip_of_rint(self):
+        # half-way values round to even, and the benchmark hashes the image it clamps
+        x = np.array([-0.5, -0.0, 0.5, 254.5, 255.5, 1e300])
+        before = x.tobytes()
+        out = clamp_to_u8(x)
+        assert x.tobytes() == before
+        want = np.clip(np.rint(x), 0, 255).astype(np.uint8)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
